@@ -28,7 +28,7 @@ fn bench_elias(c: &mut Criterion) {
 
 fn bench_binomial(c: &mut Criterion) {
     let mut group = c.benchmark_group("binomial_exact");
-    for &(n, k) in &[(1000u64, 50u64), (10000, 100)] {
+    for &(n, k) in &[(1000u64, 50u64), (10000, 100), (4095, 1024)] {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("C({n},{k})")),
             &(n, k),
@@ -50,5 +50,28 @@ fn bench_unrank(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_elias, bench_binomial, bench_unrank);
+/// Rank at the Theorem 2 batch shapes of e19's largest point (z = 4096,
+/// b = z/k for k = 4, 16, 64).
+fn bench_rank(c: &mut Criterion) {
+    let mut group = c.benchmark_group("subset_rank");
+    group.sample_size(20);
+    for b in [1024u64, 256, 64] {
+        let codec = SubsetCodec::new(4096, b);
+        let subset: Vec<u64> = (0..b).map(|i| i * (4096 / b) + 1).collect();
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("z4096_b{b}")),
+            &subset,
+            |bench, subset| bench.iter(|| black_box(codec.rank(subset).bit_length())),
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_elias,
+    bench_binomial,
+    bench_unrank,
+    bench_rank
+);
 criterion_main!(benches);

@@ -194,6 +194,29 @@ impl BigUint {
         rem as u64
     }
 
+    /// `self = self · num / den`, returning the remainder of the division.
+    ///
+    /// One multiply pass and one divide pass over the limbs. Callers that
+    /// know the quotient is exact check that the remainder is zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `den == 0`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bci_encoding::bignum::BigUint;
+    ///
+    /// let mut x = BigUint::from(120u64); // C(10, 3)
+    /// assert_eq!(x.mul_div_u64(11 * 12, 8 * 9), 0); // C(12, 3) = 220
+    /// assert_eq!(x.to_u64(), Some(220));
+    /// ```
+    pub fn mul_div_u64(&mut self, num: u64, den: u64) -> u64 {
+        self.mul_assign_u64(num);
+        self.div_assign_u64(den)
+    }
+
     /// Three-way comparison with another `BigUint`.
     pub fn cmp_big(&self, other: &BigUint) -> Ordering {
         if self.limbs.len() != other.limbs.len() {
@@ -332,6 +355,12 @@ mod tests {
             assert_eq!(y.div_assign_u64(d), 0, "exact division expected");
         }
         assert_eq!(y.to_u64(), Some(0xDEAD_BEEF));
+    }
+
+    #[test]
+    #[should_panic(expected = "division by zero")]
+    fn mul_div_rejects_zero_divisor() {
+        big(6).mul_div_u64(0, 0);
     }
 
     #[test]

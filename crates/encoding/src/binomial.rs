@@ -1,17 +1,64 @@
 //! Exact binomial coefficients on [`BigUint`], with incremental updates.
 //!
-//! The combinadic codec walks along rows of Pascal's triangle; recomputing
-//! each `C(m, j)` from scratch would cost `O(j)` big-integer operations per
-//! step. [`BinomialWalker`] instead maintains a current coefficient and moves
-//! to neighbouring ones with a single exact multiply/divide, using
+//! Every coefficient here is reached by a chain of exact Pascal moves,
 //!
-//! * `C(m+1, j) = C(m, j) · (m+1) / (m+1−j)`
-//! * `C(m−1, j) = C(m, j) · (m−j) / m`
-//! * `C(m, j−1) = C(m, j) · j / (m−j+1)`
+//! * `C(m+1, j) = C(m, j) · (m+1) / (m+1−j)` (row move),
+//! * `C(m+1, j+1) = C(m, j) · (m+1) / (j+1)` (diagonal move),
+//! * `C(m−1, j) = C(m, j) · (m−j) / m`,
+//! * `C(m, j−1) = C(m, j) · j / (m−j+1)`,
 //!
-//! all of which are exact integer operations in this order.
+//! each an exact integer multiply/divide in this order. A move is cheap to
+//! describe but a pass over a bignum of thousands of bits is not, so the
+//! upward moves are word-batched: a pending `Ratio` multiplies consecutive
+//! move factors together while both products fit in a `u64`, and applies
+//! them in one [`BigUint::mul_div_u64`] pass when the next factor would
+//! overflow or the value must be read. Every prefix of a chain of moves
+//! lands on a binomial coefficient, so each flush is an exact division; the
+//! remainder is checked on every flush. [`binomial`] and the combinadic
+//! rank ([`SubsetCodec::rank`](crate::combinadic::SubsetCodec::rank))
+//! batch this way; [`BinomialWalker`] keeps the single-step downward moves
+//! the unrank walk needs.
 
 use crate::bignum::BigUint;
+
+/// A pending exact ratio `num / den` of consecutive Pascal moves, not yet
+/// applied to the coefficient it scales.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Ratio {
+    num: u64,
+    den: u64,
+}
+
+impl Ratio {
+    /// No pending moves.
+    pub(crate) const ONE: Ratio = Ratio { num: 1, den: 1 };
+
+    /// Adds the move `num / den` to the pending moves, first flushing them
+    /// into `value` when either product would overflow a `u64`.
+    pub(crate) fn push(&mut self, value: &mut BigUint, num: u64, den: u64) {
+        match (self.num.checked_mul(num), self.den.checked_mul(den)) {
+            (Some(n), Some(d)) => *self = Ratio { num: n, den: d },
+            _ => {
+                self.flush(value);
+                *self = Ratio { num, den };
+            }
+        }
+    }
+
+    /// Applies the pending moves to `value` in one multiply/divide pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the division is not exact, i.e. the pending moves did not
+    /// take one binomial coefficient to another.
+    pub(crate) fn flush(&mut self, value: &mut BigUint) {
+        if *self != Ratio::ONE {
+            let rem = value.mul_div_u64(self.num, self.den);
+            assert_eq!(rem, 0, "Pascal move {}/{} is not exact", self.num, self.den);
+            *self = Ratio::ONE;
+        }
+    }
+}
 
 /// Computes `C(n, k)` exactly.
 ///
@@ -34,31 +81,35 @@ pub fn binomial(n: u64, k: u64) -> BigUint {
     }
     let k = k.min(n - k);
     let mut v = BigUint::one();
+    let mut pending = Ratio::ONE;
     for i in 1..=k {
-        // Multiply before dividing: the running product of i consecutive
-        // binomial steps is always divisible by i.
-        v.mul_assign_u64(n - k + i);
-        let rem = v.div_assign_u64(i);
-        debug_assert_eq!(rem, 0, "binomial intermediate not divisible");
+        // Diagonal move C(n−k+i−1, i−1) → C(n−k+i, i).
+        pending.push(&mut v, n - k + i, i);
     }
+    pending.flush(&mut v);
     v
 }
 
 /// The exact number of bits needed to index one of the `C(n, k)` subsets:
 /// `⌈log₂ C(n, k)⌉` (and `0` when `C(n,k) ≤ 1`).
 pub fn binomial_code_len(n: u64, k: u64) -> u32 {
-    let c = binomial(n, k);
+    code_len(&binomial(n, k))
+}
+
+/// `⌈log₂ c⌉`, the bits needed to index one of `c` objects (`0` when
+/// `c ≤ 1`).
+pub(crate) fn code_len(c: &BigUint) -> u32 {
     if c.is_zero() {
         return 0;
     }
     // ⌈log₂ c⌉ = bit_length(c - 1) for c ≥ 1.
-    let mut m = c;
+    let mut m = c.clone();
     m.sub_assign(&BigUint::one());
     m.bit_length() as u32
 }
 
 /// A cursor over Pascal's triangle holding the exact value of `C(m, j)` and
-/// supporting O(1) big-integer moves to adjacent coefficients.
+/// supporting single-pass big-integer moves down to adjacent coefficients.
 ///
 /// # Example
 ///
@@ -71,8 +122,6 @@ pub fn binomial_code_len(n: u64, k: u64) -> u32 {
 /// assert_eq!(w.value().to_u64(), Some(84));
 /// w.dec_j(); // C(9,2) = 36
 /// assert_eq!(w.value().to_u64(), Some(36));
-/// w.inc_m(); // C(10,2) = 45
-/// assert_eq!(w.value().to_u64(), Some(45));
 /// ```
 #[derive(Debug, Clone)]
 pub struct BinomialWalker {
@@ -84,11 +133,13 @@ pub struct BinomialWalker {
 impl BinomialWalker {
     /// Positions the cursor at `C(m, j)`.
     pub fn new(m: u64, j: u64) -> Self {
-        BinomialWalker {
-            m,
-            j,
-            value: binomial(m, j),
-        }
+        Self::at(m, j, binomial(m, j))
+    }
+
+    /// Positions the cursor at `C(m, j)` whose exact value the caller
+    /// already holds.
+    pub(crate) fn at(m: u64, j: u64, value: BigUint) -> Self {
+        BinomialWalker { m, j, value }
     }
 
     /// Current upper index `m`.
@@ -104,22 +155,6 @@ impl BinomialWalker {
     /// Current exact coefficient value.
     pub fn value(&self) -> &BigUint {
         &self.value
-    }
-
-    /// Moves to `C(m+1, j)`.
-    pub fn inc_m(&mut self) {
-        self.m += 1;
-        if self.j > self.m {
-            // Still zero.
-            return;
-        }
-        if self.value.is_zero() {
-            self.value = binomial(self.m, self.j);
-            return;
-        }
-        self.value.mul_assign_u64(self.m);
-        let rem = self.value.div_assign_u64(self.m - self.j);
-        debug_assert_eq!(rem, 0);
     }
 
     /// Moves to `C(m−1, j)`.
@@ -203,6 +238,31 @@ mod tests {
     }
 
     #[test]
+    fn ratio_batches_moves_and_flushes_on_overflow() {
+        // Row moves C(m, 2) → C(m+1, 2) from C(2, 2) up to C(40, 2): the
+        // pending products overflow a u64 well before the end, so the walk
+        // flushes mid-way and must still land on the exact value.
+        let mut v = BigUint::one();
+        let mut pending = Ratio::ONE;
+        for m in 2..40u64 {
+            pending.push(&mut v, (m + 1) * 1_000_000_000, (m - 1) * 1_000_000_000);
+        }
+        assert_ne!(v, BigUint::one(), "an overflow flushed early");
+        pending.flush(&mut v);
+        assert_eq!(pending, Ratio::ONE);
+        assert_eq!(v.to_u64(), Some(40 * 39 / 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "not exact")]
+    fn ratio_rejects_inexact_flush() {
+        let mut v = BigUint::from(3u64);
+        let mut pending = Ratio::ONE;
+        pending.push(&mut v, 1, 2);
+        pending.flush(&mut v);
+    }
+
+    #[test]
     fn code_len_examples() {
         assert_eq!(binomial_code_len(10, 3), 7); // C=120, ⌈log₂⌉=7
         assert_eq!(binomial_code_len(4, 2), 3); // C=6
@@ -229,24 +289,14 @@ mod tests {
             w.dec_j();
             assert_eq!(w.value(), &binomial(11, j - 1), "C(11,{})", j - 1);
         }
-        for m in 12..=40u64 {
-            w.inc_m();
-            assert_eq!(w.value(), &binomial(m, 0));
-        }
     }
 
     #[test]
     fn walker_through_zero_region() {
-        // Start at C(3, 5) = 0, walk m up until nonzero.
-        let mut w = BinomialWalker::new(3, 5);
-        assert!(w.value().is_zero());
-        w.inc_m(); // C(4,5) = 0
-        assert!(w.value().is_zero());
-        w.inc_m(); // C(5,5) = 1
-        assert_eq!(w.value().to_u64(), Some(1));
-        w.inc_m(); // C(6,5) = 6
+        // Start at C(6, 5) = 6 and walk m down past the diagonal.
+        let mut w = BinomialWalker::new(6, 5);
         assert_eq!(w.value().to_u64(), Some(6));
-        w.dec_m(); // back to C(5,5)
+        w.dec_m(); // C(5,5)
         assert_eq!(w.value().to_u64(), Some(1));
         w.dec_m(); // C(4,5) = 0
         assert!(w.value().is_zero());

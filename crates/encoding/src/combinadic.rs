@@ -7,13 +7,23 @@
 //! `log₂(e·k)` bits *per coordinate* instead of `log₂ z` bits per coordinate.
 //!
 //! The index of a subset `{c₀ < c₁ < … < c_{b−1}}` is the standard combinadic
-//! rank `Σ_j C(c_j, j+1)`; ranking and unranking walk Pascal's triangle with
-//! the O(1)-per-step moves of
-//! [`BinomialWalker`], so both directions
-//! run in `O(z)` big-integer operations.
+//! (colex) rank `Σₜ C(cₜ, t+1)`.
+//!
+//! * **Rank** walks *up* Pascal's triangle from `C(p+1, p+1) = 1`, where
+//!   `{0, …, p−1}` is the subset's dense prefix (whose terms are all zero):
+//!   row moves reach each `C(cₜ, t+1)`, and one diagonal move steps to the
+//!   next element's column. The moves are word-batched into one bignum pass
+//!   per element (or per `u64` overflow of the pending ratio, see
+//!   [`crate::binomial`]), and the coefficient starts small, so a rank
+//!   costs `O(b)` passes over a value that grows towards `C(z, b)`.
+//! * **Unrank** walks *down* from `C(z−1, b)` with the single-step moves of
+//!   [`BinomialWalker`], comparing against the remaining rank at every
+//!   step: `O(z)` bignum steps.
+
+use std::cmp::Ordering;
 
 use crate::bignum::BigUint;
-use crate::binomial::{binomial, binomial_code_len, BinomialWalker};
+use crate::binomial::{binomial, code_len, BinomialWalker, Ratio};
 use crate::bitio::{BitReader, BitWriter};
 
 /// Fixed-size-subset codec: encodes `b`-element subsets of `{0, …, z−1}`.
@@ -37,6 +47,8 @@ use crate::bitio::{BitReader, BitWriter};
 pub struct SubsetCodec {
     z: u64,
     b: u64,
+    /// `C(z, b)`: the number of codewords, and one past the largest rank.
+    count: BigUint,
     code_len: u32,
 }
 
@@ -48,10 +60,12 @@ impl SubsetCodec {
     /// Panics if `b > z` (no such subsets exist).
     pub fn new(z: u64, b: u64) -> Self {
         assert!(b <= z, "cannot choose {b} elements from {z}");
+        let count = binomial(z, b);
         SubsetCodec {
             z,
             b,
-            code_len: binomial_code_len(z, b),
+            code_len: code_len(&count),
+            count,
         }
     }
 
@@ -91,28 +105,32 @@ impl SubsetCodec {
         if let Some(&last) = subset.last() {
             assert!(last < self.z, "element {last} outside universe {}", self.z);
         }
+        // The dense prefix {0, …, p−1} contributes C(t, t+1) = 0 terms.
+        let p = subset
+            .iter()
+            .zip(0u64..)
+            .take_while(|(&c, t)| c == *t)
+            .count();
+        // Walk up from C(p+1, p+1) = 1. Throughout, `value · pending` is
+        // C(m, j) with m ≥ j, so every divisor below is positive.
+        let (mut m, mut j) = (p as u64 + 1, p as u64 + 1);
+        let mut value = BigUint::one();
+        let mut pending = Ratio::ONE;
         let mut rank = BigUint::zero();
-        if self.b == 0 {
-            return rank;
-        }
-        // Walk m from z−1 down; when m hits the t-th largest element, the
-        // walker currently holds C(m, j) with the right j.
-        let mut walker = BinomialWalker::new(self.z - 1, self.b);
-        let mut next = subset.len(); // index one past the next element to match
-        let mut m = self.z - 1;
-        loop {
-            if next > 0 && subset[next - 1] == m {
-                rank.add_assign(walker.value());
-                next -= 1;
-                if next == 0 {
-                    break;
-                }
-                walker.dec_m();
-                walker.dec_j();
-            } else {
-                walker.dec_m();
+        for (i, &c) in subset[p..].iter().enumerate() {
+            if i > 0 {
+                // Diagonal move C(m, j) → C(m+1, j+1).
+                pending.push(&mut value, m + 1, j + 1);
+                m += 1;
+                j += 1;
             }
-            m -= 1;
+            while m < c {
+                // Row move C(m, j) → C(m+1, j).
+                pending.push(&mut value, m + 1, m + 1 - j);
+                m += 1;
+            }
+            pending.flush(&mut value);
+            rank.add_assign(&value);
         }
         rank
     }
@@ -124,7 +142,7 @@ impl SubsetCodec {
     /// Panics if `rank ≥ C(z, b)`.
     pub fn unrank(&self, rank: &BigUint) -> Vec<u64> {
         assert!(
-            rank.cmp_big(&binomial(self.z, self.b)) == std::cmp::Ordering::Less,
+            rank.cmp_big(&self.count) == Ordering::Less,
             "rank out of range"
         );
         let mut out = vec![0u64; self.b as usize];
@@ -132,11 +150,15 @@ impl SubsetCodec {
             return out;
         }
         let mut r = rank.clone();
-        let mut walker = BinomialWalker::new(self.z - 1, self.b);
+        // C(z−1, b) = C(z, b) · (z−b) / z.
+        let mut start = self.count.clone();
+        let rem = start.mul_div_u64(self.z - self.b, self.z);
+        assert_eq!(rem, 0, "C(z, b)·(z−b) / z is not exact");
+        let mut walker = BinomialWalker::at(self.z - 1, self.b, start);
         let mut m = self.z - 1;
         let mut j = self.b as usize;
         loop {
-            if walker.value().cmp_big(&r) != std::cmp::Ordering::Greater {
+            if walker.value().cmp_big(&r) != Ordering::Greater {
                 // C(m, j) ≤ r: m is the j-th smallest... select it.
                 r.sub_assign(walker.value());
                 out[j - 1] = m;
@@ -183,7 +205,7 @@ impl SubsetCodec {
             bits.push(reader.read_bit()?);
         }
         let rank = BigUint::from_bits_lsb(bits);
-        if rank.cmp_big(&binomial(self.z, self.b)) != std::cmp::Ordering::Less {
+        if rank.cmp_big(&self.count) != Ordering::Less {
             return None;
         }
         Some(self.unrank(&rank))

@@ -283,6 +283,8 @@ pub mod batched {
 
     struct ExactSink {
         board: Board,
+        /// The current cycle's `(z, b)` codec, built at its first batch.
+        codec: Option<SubsetCodec>,
     }
 
     impl Sink for ExactSink {
@@ -292,7 +294,12 @@ pub mod batched {
                 Turn::Pass => w.write_bit(false),
                 Turn::Batch { indices } => {
                     w.write_bit(true);
-                    SubsetCodec::new(z as u64, b as u64).encode(indices, &mut w);
+                    let (z, b) = (z as u64, b as u64);
+                    let codec = match &mut self.codec {
+                        Some(c) if (c.universe(), c.subset_size()) == (z, b) => c,
+                        slot => slot.insert(SubsetCodec::new(z, b)),
+                    };
+                    codec.encode(indices, &mut w);
                 }
                 Turn::Naive { indices } => {
                     let width = index_width(z);
@@ -315,6 +322,7 @@ pub mod batched {
     pub fn run(inputs: &[BitSet]) -> DisjRun {
         let mut sink = ExactSink {
             board: Board::new(),
+            codec: None,
         };
         let (output, cycles, coords_written) = simulate(inputs, &mut sink);
         let bits = sink.board.total_bits();

@@ -5,6 +5,8 @@
 //! reference function on arbitrary inputs.
 
 use broadcast_ic::blackboard::tree::{ProtocolTree, TreeBuilder};
+use broadcast_ic::encoding::bignum::BigUint;
+use broadcast_ic::encoding::binomial::binomial;
 use broadcast_ic::encoding::bitio::{BitReader, BitVec, BitWriter};
 use broadcast_ic::encoding::bitset::BitSet;
 use broadcast_ic::encoding::combinadic::SubsetCodec;
@@ -59,7 +61,7 @@ proptest! {
     #[test]
     fn combinadic_round_trips_random_subsets(
         (z, elems) in (2u64..200).prop_flat_map(|z| {
-            (Just(z), prop::collection::btree_set(0..z, 0..=(z as usize).min(24)))
+            (Just(z), prop::collection::btree_set(0..z, 0..=z as usize))
         })
     ) {
         let subset: Vec<u64> = elems.into_iter().collect();
@@ -94,6 +96,57 @@ proptest! {
     }
 }
 
+/// A subset of `{0, …, z−1}` for `z ≤ 700` of any size, starting with a
+/// dense prefix `{0, …, p−1}` of random length.
+fn arb_prefixed_subset() -> impl Strategy<Value = (u64, Vec<u64>)> {
+    (1u64..=700)
+        .prop_flat_map(|z| {
+            let rest = prop::collection::btree_set(0..z, 0..=z as usize);
+            (Just(z), 0..=z, rest)
+        })
+        .prop_map(|(z, p, rest)| {
+            let tail = rest.into_iter().filter(|&c| c >= p);
+            (z, (0..p).chain(tail).collect())
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The batched upward rank walk against the defining colex sum
+    /// `Σₜ C(cₜ, t+1)`, one exact binomial per term.
+    #[test]
+    fn combinadic_rank_equals_colex_sum((z, subset) in arb_prefixed_subset()) {
+        let codec = SubsetCodec::new(z, subset.len() as u64);
+        let mut expected = BigUint::zero();
+        for (t, &c) in subset.iter().enumerate() {
+            expected.add_assign(&binomial(c, t as u64 + 1));
+        }
+        prop_assert_eq!(codec.rank(&subset), expected);
+    }
+}
+
+/// `binomial` against Pascal's rule, row by row with bignum additions only,
+/// so the rank oracle above does not rest on the code it checks.
+#[test]
+fn binomial_matches_pascal_rows_up_to_300() {
+    let mut row = vec![BigUint::one()];
+    for n in 0..=300u64 {
+        for (k, expected) in row.iter().enumerate() {
+            assert_eq!(&binomial(n, k as u64), expected, "C({n},{k})");
+        }
+        assert!(binomial(n, n + 1).is_zero());
+        let mut next = vec![BigUint::one()];
+        for w in row.windows(2) {
+            let mut v = w[0].clone();
+            v.add_assign(&w[1]);
+            next.push(v);
+        }
+        next.push(BigUint::one());
+        row = next;
+    }
+}
+
 proptest! {
     #[test]
     fn biguint_arithmetic_matches_u128_reference(
@@ -101,7 +154,6 @@ proptest! {
         m in 1u64..=u64::MAX,
         d in 1u64..1_000_000,
     ) {
-        use broadcast_ic::encoding::bignum::BigUint;
         let mut x = BigUint::from(a);
         // add
         x.add_assign(&BigUint::from(a));
