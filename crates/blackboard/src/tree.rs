@@ -485,19 +485,23 @@ impl ProtocolTree {
     /// evaluates many prior slices against this tree in one pass, returning
     /// one cost per slice. **Bit-for-bit identical** to calling the dense
     /// method per slice (asserted by randomized cross-validation tests) but
-    /// asymptotically cheaper: the dense path spends two `log2` calls per
-    /// (slice, leaf, player) — `O(k³)` transcendentals for
-    /// `sequential_and(k)` under the `cic_hard` slice family — while this
-    /// path spends two per (slice, distinct prior, distinct `q`-pair).
+    /// asymptotically cheaper. For `sequential_and(k)` under the `cic_hard`
+    /// slice family the dense path spends `Θ(k³)` multiply-adds and two
+    /// `log2` calls per (slice, leaf, player); this path spends two `log2`
+    /// calls per (slice, distinct prior, distinct `q`-pair) and `Θ(k²)`
+    /// work in all — `Θ(#leaves · k)` for the once-per-call layout plus
+    /// `O(k)` fold steps per slice.
     ///
     /// How the work is hoisted, and why every skipped operation is exact:
     ///
     /// 1. **Per-leaf structure → flat SoA, once per call.** Only *writers* —
     ///    players whose Lemma-3 pair `q_{i,·}` differs from the neutral
     ///    `(1,1)` — can contribute to a leaf's probability or divergence.
-    ///    Writer `(player, q-pair)` entries are laid out contiguously per
-    ///    leaf in player order, with distinct `(q₀,q₁)` pairs interned by bit
-    ///    pattern.
+    ///    A leaf's writer `(player, q-pair)` entries, in player order, form
+    ///    its *writer list*; distinct `(q₀,q₁)` pairs are interned by bit
+    ///    pattern. Each leaf records `lcp`, the length of the prefix its
+    ///    writer list shares with the previous leaf's (in DFS order), and
+    ///    only the entries past that prefix are stored.
     /// 2. **Per-slice tables.** Distinct prior values are deduplicated by
     ///    bit pattern and a `(mass, g)` table is filled per
     ///    (prior, q-pair) cell using the *exact dense-path expressions*
@@ -519,24 +523,52 @@ impl ProtocolTree {
     ///    containing a prior that fails them falls back to the dense kernel
     ///    for that slice. Early-exiting the product at an exact `0.0` is
     ///    also exact: masses are finite and non-negative, so `0.0` absorbs.
+    /// 4. **Prefix-shared fold.** The product and the divergence sum are
+    ///    left folds over the writer list, so their state after `t` entries
+    ///    depends only on the first `t` entries. Per slice the fold keeps
+    ///    that running `(pl, div)` state for every position of the current
+    ///    path and resumes each leaf at its `lcp` instead of at 0, replaying
+    ///    exactly the f64 operations a from-scratch fold would. If the
+    ///    current path hit `pl = 0.0` at an entry inside the shared prefix,
+    ///    the leaf is skipped: it would die at the same entry. DFS emits
+    ///    chain-shaped trees such as `sequential_and(k)` with each leaf
+    ///    sharing all but its last writer entry with the previous one, which
+    ///    turns the `Θ(k²)` per-slice fold into `O(k)`.
     ///
-    /// The check in fact holds for *every* f64 prior in `[0,1]` — `1−p`
-    /// errs by at most a half-ulp (`2⁻⁵⁴`), so `(1−p)+p` ties back to
-    /// exactly `1.0` under round-to-even (pinned by a sweep test) — making
-    /// the dense fallback a guard against future refactors of the posterior
-    /// formulas rather than a path real data can take.
-    pub fn information_cost_product_many(&self, slices: &[Vec<f64>]) -> Vec<f64> {
+    /// The runtime check of point 3 in fact holds for *every* f64 prior in
+    /// `[0,1]` — `1−p` errs by at most a half-ulp (`2⁻⁵⁴`), so `(1−p)+p`
+    /// ties back to exactly `1.0` under round-to-even (pinned by a sweep
+    /// test) — making the dense fallback a guard against future refactors
+    /// of the posterior formulas rather than a path real data can take.
+    pub fn information_cost_product_many<S: AsRef<[f64]>>(&self, slices: &[S]) -> Vec<f64> {
         // --- SoA layout, computed once per call -------------------------
         let mut qpairs: Vec<[f64; 2]> = Vec::new();
         let mut qpair_id: HashMap<(u64, u64), u32> = HashMap::new();
-        // (player, q-pair id) per writer, leaves concatenated (CSR layout).
         let leaves = self.leaves();
+        // Per leaf: `lcp[l]`, the writer entries shared with leaf l−1, then
+        // the (player, q-pair id) entries past that prefix (CSR layout).
+        let mut lcp: Vec<u32> = Vec::with_capacity(leaves.len());
         let mut writers: Vec<(u32, u32)> = Vec::new();
         let mut leaf_start: Vec<u32> = Vec::with_capacity(leaves.len() + 1);
         leaf_start.push(0);
-        for leaf in leaves {
+        for (l, leaf) in leaves.iter().enumerate() {
+            let prev: &[[f64; 2]] = if l > 0 { &leaves[l - 1].q } else { &[] };
+            let mut shared = 0u32;
+            let mut in_prefix = true;
             for (i, q) in leaf.q.iter().enumerate() {
-                if q[0] == 1.0 && q[1] == 1.0 {
+                let is_writer = !(q[0] == 1.0 && q[1] == 1.0);
+                // Interning is by bit pattern, so the writer lists agree up
+                // to the first player whose q-pair bits differ.
+                if in_prefix {
+                    if prev.get(i).is_some_and(|p| {
+                        q[0].to_bits() == p[0].to_bits() && q[1].to_bits() == p[1].to_bits()
+                    }) {
+                        shared += u32::from(is_writer);
+                        continue;
+                    }
+                    in_prefix = false;
+                }
+                if !is_writer {
                     continue;
                 }
                 let key = (q[0].to_bits(), q[1].to_bits());
@@ -546,13 +578,19 @@ impl ProtocolTree {
                 });
                 writers.push((i as u32, id));
             }
+            lcp.push(shared);
             leaf_start.push(writers.len() as u32);
         }
         let nq = qpairs.len();
+        // `path[t]` = running (pl, div) after the current path's first t
+        // writer entries (at most one per player); `path[0]` is the empty
+        // fold and never rewritten.
+        let mut path = vec![(1.0f64, 0.0f64); self.k + 1];
 
         let mut out = Vec::with_capacity(slices.len());
         let mut prior_of = vec![0u32; self.k]; // player → distinct-prior id
         for priors in slices {
+            let priors = priors.as_ref();
             self.check_priors(priors);
             // Distinct prior values, deduplicated by bit pattern.
             let mut pvals: Vec<f64> = Vec::new();
@@ -600,22 +638,29 @@ impl ProtocolTree {
                 }
             }
             let mut total = 0.0;
+            // Position of the entry that zeroed the current path's
+            // probability, or `usize::MAX` while it is alive.
+            let mut dead_at = usize::MAX;
             for l in 0..leaves.len() {
+                let start = lcp[l] as usize;
+                if dead_at < start {
+                    continue; // dies at the same shared entry
+                }
+                dead_at = usize::MAX;
+                let (mut pl, mut div) = path[start];
                 let lo = leaf_start[l] as usize;
                 let hi = leaf_start[l + 1] as usize;
-                let mut pl = 1.0;
-                let mut div = 0.0;
-                let mut alive = true;
-                for &(player, qp) in &writers[lo..hi] {
+                for (t, &(player, qp)) in (start..).zip(&writers[lo..hi]) {
                     let cell = &tab[prior_of[player as usize] as usize * nq + qp as usize];
                     pl *= cell[0];
                     if pl == 0.0 {
-                        alive = false;
+                        dead_at = t;
                         break;
                     }
                     div += cell[1];
+                    path[t + 1] = (pl, div);
                 }
-                if alive {
+                if dead_at == usize::MAX {
                     total += pl * div;
                 }
             }
@@ -1158,45 +1203,121 @@ mod tests {
         b.finish(root)
     }
 
+    /// Prior slices for the batched-vs-dense cross-checks: `cic_hard`-shaped
+    /// ones (prior 0.0 for each player in `hard`, 1−1/k for the rest — the
+    /// zero kills every leaf on which that player announced 1), degenerate
+    /// all-0/all-1, uniform, and random mixtures that include exact 0.0/1.0
+    /// entries.
+    fn ic_slices(
+        k: usize,
+        hard: impl IntoIterator<Item = usize>,
+        rng: &mut rand_chacha::ChaCha8Rng,
+    ) -> Vec<Vec<f64>> {
+        let mut slices: Vec<Vec<f64>> = Vec::new();
+        for z in hard {
+            let mut priors = vec![1.0 - 1.0 / k as f64; k];
+            priors[z] = 0.0;
+            slices.push(priors);
+        }
+        slices.push(vec![0.0; k]);
+        slices.push(vec![1.0; k]);
+        slices.push(vec![0.5; k]);
+        for _ in 0..6 {
+            slices.push(
+                (0..k)
+                    .map(|_| match rng.random_range(0..4) {
+                        0 => 0.0,
+                        1 => 1.0,
+                        2 => 0.25,
+                        _ => rng.random::<f64>(),
+                    })
+                    .collect(),
+            );
+        }
+        slices
+    }
+
+    /// Asserts the batched kernel equals the dense one bit for bit on every
+    /// slice.
+    fn assert_batched_matches_dense(t: &ProtocolTree, slices: &[Vec<f64>], what: &str) {
+        let batched = t.information_cost_product_many(slices);
+        assert_eq!(batched.len(), slices.len());
+        for (slice, b) in slices.iter().zip(&batched) {
+            let dense = t.information_cost_product(slice);
+            assert_eq!(
+                b.to_bits(),
+                dense.to_bits(),
+                "{what}, slice {slice:?}: batched {b} vs dense {dense}"
+            );
+        }
+    }
+
     #[test]
     fn batched_ic_matches_dense_bit_for_bit_on_randomized_trees() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xBA7C);
-        for trial in 0..20 {
-            let k = 1 + (trial % 5);
-            let t = random_tree(k, 4, &mut rng);
-            // Slice families: cic_hard-shaped (one 0.0 prior, rest 1−1/k),
-            // degenerate all-0/all-1, uniform, and random mixtures that
-            // include exact 0.0/1.0 entries.
-            let mut slices: Vec<Vec<f64>> = Vec::new();
-            for z in 0..k {
-                let mut priors = vec![1.0 - 1.0 / k as f64; k];
-                priors[z] = 0.0;
-                slices.push(priors);
-            }
-            slices.push(vec![0.0; k]);
-            slices.push(vec![1.0; k]);
-            slices.push(vec![0.5; k]);
-            for _ in 0..6 {
-                slices.push(
-                    (0..k)
-                        .map(|_| match rng.random_range(0..4) {
-                            0 => 0.0,
-                            1 => 1.0,
-                            2 => 0.25,
-                            _ => rng.random::<f64>(),
-                        })
-                        .collect(),
-                );
-            }
-            let batched = t.information_cost_product_many(&slices);
-            assert_eq!(batched.len(), slices.len());
-            for (slice, b) in slices.iter().zip(&batched) {
-                let dense = t.information_cost_product(slice);
-                assert_eq!(
-                    b.to_bits(),
-                    dense.to_bits(),
-                    "trial {trial}, k {k}, slice {slice:?}: batched {b} vs dense {dense}"
-                );
+        // Shallow trees over few players, then depth-8 trees over up to 12,
+        // whose DFS leaf order has consecutive leaves sharing writer-list
+        // prefixes of varying length.
+        for trial in 0..40 {
+            let (k, depth) = if trial < 20 {
+                (1 + trial % 5, 4)
+            } else {
+                (1 + trial % 12, 8)
+            };
+            let t = random_tree(k, depth, &mut rng);
+            let slices = ic_slices(k, 0..k, &mut rng);
+            assert_batched_matches_dense(&t, &slices, &format!("trial {trial}, k {k}"));
+        }
+    }
+
+    /// A sequential-AND-shaped chain over `k` players: each speaker
+    /// announces 0 (ending the protocol) or 1 (handing over to the next),
+    /// flipping with probability `eps`. With `handover_last`, DFS reaches
+    /// the deepest leaf first and each later leaf shares all but its last
+    /// writer entry with the one before; otherwise the shallowest leaf
+    /// comes first. With `reverse_speakers` the players speak from `k−1`
+    /// down to 0, so the writer lists (kept in player order) of any two
+    /// consecutive leaves differ at their first entry.
+    fn chain_tree(k: usize, eps: f64, handover_last: bool, reverse_speakers: bool) -> ProtocolTree {
+        let mut b = TreeBuilder::new(k);
+        let mut next = b.leaf(1);
+        for d in (0..k).rev() {
+            let speaker = if reverse_speakers { k - 1 - d } else { d };
+            let stop = (BitVec::from_bools(&[false]), [1.0 - eps, eps], b.leaf(0));
+            let handover = (BitVec::from_bools(&[true]), [eps, 1.0 - eps], next);
+            let edges = if handover_last {
+                vec![stop, handover]
+            } else {
+                vec![handover, stop]
+            };
+            next = b.internal(speaker, edges);
+        }
+        b.finish(next)
+    }
+
+    #[test]
+    fn batched_ic_matches_dense_bit_for_bit_on_long_chains() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xC4A1);
+        for k in [1usize, 2, 3, 17, 200] {
+            // Every hard slice on short chains; on the long one, zeros at
+            // both ends and in the middle keep the dense reference cheap.
+            let hard: Vec<usize> = if k <= 17 {
+                (0..k).collect()
+            } else {
+                vec![0, 1, k / 2, k - 2, k - 1]
+            };
+            for eps in [0.0, 0.2] {
+                for handover_last in [true, false] {
+                    for reverse_speakers in [false, true] {
+                        let t = chain_tree(k, eps, handover_last, reverse_speakers);
+                        let slices = ic_slices(k, hard.iter().copied(), &mut rng);
+                        let what = format!(
+                            "k {k}, eps {eps}, handover_last {handover_last}, \
+                             reverse_speakers {reverse_speakers}"
+                        );
+                        assert_batched_matches_dense(&t, &slices, &what);
+                    }
+                }
             }
         }
     }

@@ -30,7 +30,7 @@ pub fn cic_product(tree: &ProtocolTree, slices: &[(f64, Vec<f64>)]) -> f64 {
         (total - 1.0).abs() < 1e-9,
         "auxiliary-variable weights sum to {total}"
     );
-    let priors: Vec<Vec<f64>> = slices.iter().map(|(_, p)| p.clone()).collect();
+    let priors: Vec<&[f64]> = slices.iter().map(|(_, p)| p.as_slice()).collect();
     let costs = tree.information_cost_product_many(&priors);
     slices
         .iter()
@@ -71,8 +71,11 @@ pub fn cic_hard(tree: &ProtocolTree, dist: &HardDist) -> f64 {
     let w = 1.0 / k as f64;
     // One batched pass over all k prior slices: every slice shares the same
     // leaf structure, and the hard distribution only has two distinct prior
-    // values (0 and 1−1/k), so the batched kernel collapses the O(k³)
-    // transcendental count of the per-slice loop to O(k). Bit-identical to
+    // values (0 and 1−1/k), so the batched kernel collapses the Θ(k³)
+    // transcendental count of the per-slice loop to O(k). On chains such as
+    // `sequential_and(k)` its prefix-shared fold also cuts the Θ(k³)
+    // multiply-adds to Θ(k²): each leaf resumes from the state the previous
+    // leaf left after their common writer entries. Bit-identical to
     // `w * information_cost_product(slice)` summed in z-order.
     let slices: Vec<Vec<f64>> = (0..k).map(|z| dist.priors_given_z(z)).collect();
     let costs = tree.information_cost_product_many(&slices);
@@ -122,10 +125,15 @@ mod tests {
     fn cic_hard_is_bitwise_identical_to_per_slice_dense_kernel() {
         // The batched lane must not move a single digit of the e2 table:
         // compare against the pre-batching implementation (per-slice dense
-        // kernel, identical fold order) bit for bit.
-        for k in [2usize, 3, 8, 33, 64] {
+        // kernel, identical fold order) bit for bit, up to an odd k past 100
+        // where the prefix-shared fold resumes most leaves deep in a chain.
+        for k in [2usize, 3, 8, 33, 64, 129] {
             let mu = HardDist::new(k);
-            for tree in [sequential_and(k), noisy_sequential_and(k, 0.2)] {
+            for tree in [
+                sequential_and(k),
+                noisy_sequential_and(k, 0.2),
+                lazy_and(k, 0.25),
+            ] {
                 let w = 1.0 / k as f64;
                 let dense: f64 = (0..k)
                     .map(|z| w * tree.information_cost_product(&mu.priors_given_z(z)))
