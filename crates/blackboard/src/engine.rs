@@ -8,22 +8,28 @@
 //! place with **no I/O, no threads, and no clocks** inside:
 //!
 //! * [`TurnEngine::poll`] asks the protocol whose turn it is and returns a
-//!   [`Step`]: either a [`Grant`] (speaker + turn number + the parked
-//!   session-RNG state, when the engine holds one) or [`Step::Halted`].
+//!   [`Step`]: either a [`Grant`] (speaker + route + turn number + the
+//!   parked session-RNG state, when the engine holds one) or
+//!   [`Step::Halted`].
 //! * The *driver* performs the granted turn wherever it likes — on the
 //!   calling thread, on a player thread, or on the far side of a TCP
 //!   socket — and hands the written bits (plus the post-message RNG
 //!   state) back via [`TurnEngine::apply`].
 //!
-//! The engine owns the board, the turn cursor, the serialized
+//! The engine owns the transcript, the turn cursor, the serialized
 //! [`STATE_LEN`]-byte ChaCha8 session-RNG state between turns, the
 //! runaway step guard, and bits-written accounting. Everything a protocol
-//! can do wrong — naming an out-of-range speaker, never halting, a reply
-//! without an outstanding grant, the wrong speaker replying, a malformed
-//! RNG state — is a structured [`ProtocolViolation`] whose `Display` is
-//! the canonical abort-reason string shared by every transport, so the
-//! fabric's `SessionOutcome` taxonomy is populated identically no matter
-//! which driver detected the violation.
+//! can do wrong — naming an out-of-range speaker, granting a link it may
+//! not use, never halting, a reply without an outstanding grant, the
+//! wrong speaker replying, a malformed RNG state — is a structured
+//! [`ProtocolViolation`] whose `Display` is the canonical abort-reason
+//! string shared by every transport, so the fabric's `SessionOutcome`
+//! taxonomy is populated identically no matter which driver detected the
+//! violation.
+//!
+//! The engine sees a protocol as a [`Schedule`]. Every blackboard
+//! [`Protocol`] is one, with the zero-sized route `()`; `bci_topology`
+//! runs message-passing protocols with a link per turn.
 //!
 //! # Determinism
 //!
@@ -84,15 +90,78 @@ use bci_encoding::bitio::BitVec;
 use rand_chacha::{ChaCha8Rng, STATE_LEN};
 
 use crate::board::Board;
+use crate::link::Link;
 use crate::protocol::{Protocol, MAX_STEPS};
 use crate::PlayerId;
 
+/// A protocol as the turn engine sees it: who speaks next, on which
+/// route, and how a write lands on the transcript.
+///
+/// Every blackboard [`Protocol`] is a `Schedule` (over [`Board`], with
+/// route `()`) through a blanket impl. The method names differ from
+/// [`Protocol`]'s so calls on a type implementing both stay unambiguous.
+pub trait Schedule {
+    /// The transcript the engine owns.
+    type Board: Clone + Default + fmt::Debug;
+    /// What a turn names besides its speaker: `()` on the blackboard, the
+    /// [`Link`] for message-passing protocols.
+    type Route: Copy + Eq + fmt::Debug;
+    /// The output a final transcript determines.
+    type Output;
+
+    /// Number of players `k`.
+    fn players(&self) -> usize;
+
+    /// Whose turn it is and on which route, or `None` when halted.
+    fn next_turn(&self, board: &Self::Board) -> Option<(PlayerId, Self::Route)>;
+
+    /// Validates a turn whose speaker is in range, before it is granted.
+    fn check_turn(&self, _speaker: PlayerId, _route: Self::Route) -> Result<(), ProtocolViolation> {
+        Ok(())
+    }
+
+    /// Appends the speaker's message to the transcript.
+    fn record(&self, board: &mut Self::Board, speaker: PlayerId, route: Self::Route, bits: BitVec);
+
+    /// Total bits on the transcript — the communication cost.
+    fn bits(&self, board: &Self::Board) -> usize;
+
+    /// The output determined by the (final) transcript.
+    fn decide(&self, board: &Self::Board) -> Self::Output;
+}
+
+impl<P: Protocol> Schedule for P {
+    type Board = Board;
+    type Route = ();
+    type Output = P::Output;
+
+    fn players(&self) -> usize {
+        self.num_players()
+    }
+
+    fn next_turn(&self, board: &Board) -> Option<(PlayerId, ())> {
+        self.next_speaker(board).map(|speaker| (speaker, ()))
+    }
+
+    fn record(&self, board: &mut Board, speaker: PlayerId, _route: (), bits: BitVec) {
+        board.write(speaker, bits);
+    }
+
+    fn bits(&self, board: &Board) -> usize {
+        board.total_bits()
+    }
+
+    fn decide(&self, board: &Board) -> P::Output {
+        self.output(board)
+    }
+}
+
 /// What the engine asks its driver to do next.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Step {
+pub enum Step<R = ()> {
     /// A turn is granted: the driver must have `speaker` compute its
     /// message and hand the bits back via [`TurnEngine::apply`].
-    Grant(Grant),
+    Grant(Grant<R>),
     /// The protocol halted; the board is final and
     /// [`TurnEngine::output`] is defined.
     Halted,
@@ -100,9 +169,11 @@ pub enum Step {
 
 /// One granted turn.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Grant {
+pub struct Grant<R = ()> {
     /// The player whose turn it is.
     pub speaker: PlayerId,
+    /// The route the message will be recorded on ([`Schedule::Route`]).
+    pub route: R,
     /// Zero-based turn number (== board writes so far).
     pub turn: usize,
     /// The serialized session-RNG state the speaker must resume from,
@@ -112,7 +183,7 @@ pub struct Grant {
     pub rng_state: Option<[u8; STATE_LEN]>,
 }
 
-impl Grant {
+impl<R> Grant<R> {
     /// Resumes the session RNG from the grant's serialized state.
     ///
     /// # Panics
@@ -140,17 +211,41 @@ pub enum ProtocolViolation {
     /// The driver supplied a different number of inputs than the
     /// protocol has players.
     InputCount {
-        /// `Protocol::num_players()`.
+        /// `Schedule::players()`.
         expected: usize,
         /// Inputs the driver supplied.
         got: usize,
     },
-    /// `next_speaker` named a player outside `0..num_players`.
+    /// The schedule named a player outside `0..players`.
     SpeakerOutOfRange {
         /// The out-of-range speaker.
         speaker: PlayerId,
         /// Roster size `k`.
         players: usize,
+    },
+    /// The granted link is malformed: an endpoint out of range, or a
+    /// directed self-loop.
+    MalformedLink {
+        /// The offending link.
+        link: Link,
+        /// Roster size `k`.
+        players: usize,
+    },
+    /// A directed link whose `from` is not the granted speaker.
+    ForeignLink {
+        /// The granted speaker.
+        speaker: PlayerId,
+        /// The link (with `from != speaker`).
+        link: Link,
+    },
+    /// The protocol granted a link its own topology forbids.
+    LinkNotAllowed {
+        /// The granted speaker.
+        speaker: PlayerId,
+        /// The offending link.
+        link: Link,
+        /// The CLI-facing name of the protocol's topology.
+        topology: &'static str,
     },
     /// The protocol did not halt within the step budget.
     Runaway {
@@ -187,6 +282,20 @@ impl fmt::Display for ProtocolViolation {
             ProtocolViolation::SpeakerOutOfRange { speaker, players } => {
                 write!(f, "protocol named speaker {speaker} of {players}")
             }
+            ProtocolViolation::MalformedLink { link, players } => {
+                write!(f, "malformed link {link} for {players} players")
+            }
+            ProtocolViolation::ForeignLink { speaker, link } => {
+                write!(f, "player {speaker} granted foreign link {link}")
+            }
+            ProtocolViolation::LinkNotAllowed {
+                speaker,
+                link,
+                topology,
+            } => write!(
+                f,
+                "player {speaker} granted link {link}, not allowed under the {topology} topology"
+            ),
             ProtocolViolation::Runaway { max_steps } => {
                 write!(f, "protocol exceeded {max_steps} turns")
             }
@@ -221,19 +330,19 @@ enum RngSlot {
 /// The sans-io protocol state machine driving one session.
 ///
 /// See the [module docs](self) for the contract and an example driver.
-pub struct TurnEngine<'p, P: Protocol> {
+pub struct TurnEngine<'p, P: Schedule> {
     protocol: &'p P,
-    board: Board,
+    board: P::Board,
     rng: RngSlot,
     steps: usize,
     max_steps: usize,
-    granted: Option<PlayerId>,
+    granted: Option<(PlayerId, P::Route)>,
     halted: bool,
 }
 
 // Manual impls: a derive would demand `P: Debug` / `P: Clone`, but the
 // engine only holds `&P`.
-impl<P: Protocol> fmt::Debug for TurnEngine<'_, P> {
+impl<P: Schedule> fmt::Debug for TurnEngine<'_, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TurnEngine")
             .field("board", &self.board)
@@ -246,7 +355,7 @@ impl<P: Protocol> fmt::Debug for TurnEngine<'_, P> {
     }
 }
 
-impl<P: Protocol> Clone for TurnEngine<'_, P> {
+impl<P: Schedule> Clone for TurnEngine<'_, P> {
     fn clone(&self) -> Self {
         TurnEngine {
             protocol: self.protocol,
@@ -260,7 +369,7 @@ impl<P: Protocol> Clone for TurnEngine<'_, P> {
     }
 }
 
-impl<'p, P: Protocol> TurnEngine<'p, P> {
+impl<'p, P: Schedule> TurnEngine<'p, P> {
     /// An engine whose driver owns the random source (grants carry no
     /// RNG state). Used by the serial runner, whose public API accepts
     /// any `&mut dyn RngCore`.
@@ -268,7 +377,7 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
     /// # Errors
     ///
     /// [`ProtocolViolation::InputCount`] if `input_count` differs from
-    /// `protocol.num_players()`.
+    /// `protocol.players()`.
     pub fn new(protocol: &'p P, input_count: usize) -> Result<Self, ProtocolViolation> {
         Self::build(protocol, input_count, RngSlot::External)
     }
@@ -280,7 +389,7 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
     /// # Errors
     ///
     /// [`ProtocolViolation::InputCount`] if `input_count` differs from
-    /// `protocol.num_players()`.
+    /// `protocol.players()`.
     pub fn with_rng(
         protocol: &'p P,
         input_count: usize,
@@ -290,7 +399,7 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
     }
 
     fn build(protocol: &'p P, input_count: usize, rng: RngSlot) -> Result<Self, ProtocolViolation> {
-        let expected = protocol.num_players();
+        let expected = protocol.players();
         if input_count != expected {
             return Err(ProtocolViolation::InputCount {
                 expected,
@@ -299,7 +408,7 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
         }
         Ok(TurnEngine {
             protocol,
-            board: Board::new(),
+            board: P::Board::default(),
             rng,
             steps: 0,
             max_steps: MAX_STEPS,
@@ -321,46 +430,49 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
     /// Advances the state machine: grants the next turn, re-issues the
     /// outstanding grant (polling is idempotent), or reports the halt.
     ///
+    /// A new turn is checked in this order: speaker range, then
+    /// [`Schedule::check_turn`], then the step budget.
+    ///
     /// # Errors
     ///
-    /// * [`ProtocolViolation::SpeakerOutOfRange`] — `next_speaker` named
-    ///   a player `>= num_players`;
+    /// * [`ProtocolViolation::SpeakerOutOfRange`] — the schedule named a
+    ///   player `>= players()`;
+    /// * whatever [`Schedule::check_turn`] rejects (the link violations,
+    ///   for message-passing protocols);
     /// * [`ProtocolViolation::Runaway`] — the step budget is exhausted
     ///   and the protocol still wants to speak.
-    pub fn poll(&mut self) -> Result<Step, ProtocolViolation> {
+    pub fn poll(&mut self) -> Result<Step<P::Route>, ProtocolViolation> {
         if self.halted {
             return Ok(Step::Halted);
         }
-        if let Some(speaker) = self.granted {
-            return Ok(Step::Grant(self.issue(speaker)));
+        if let Some((speaker, route)) = self.granted {
+            return Ok(Step::Grant(self.issue(speaker, route)));
         }
-        match self.protocol.next_speaker(&self.board) {
-            None => {
-                self.halted = true;
-                Ok(Step::Halted)
-            }
-            Some(speaker) if speaker >= self.protocol.num_players() => {
-                Err(ProtocolViolation::SpeakerOutOfRange {
-                    speaker,
-                    players: self.protocol.num_players(),
-                })
-            }
-            Some(_) if self.steps >= self.max_steps => Err(ProtocolViolation::Runaway {
+        let Some((speaker, route)) = self.protocol.next_turn(&self.board) else {
+            self.halted = true;
+            return Ok(Step::Halted);
+        };
+        let players = self.protocol.players();
+        if speaker >= players {
+            return Err(ProtocolViolation::SpeakerOutOfRange { speaker, players });
+        }
+        self.protocol.check_turn(speaker, route)?;
+        if self.steps >= self.max_steps {
+            return Err(ProtocolViolation::Runaway {
                 max_steps: self.max_steps,
-            }),
-            Some(speaker) => {
-                self.granted = Some(speaker);
-                if let RngSlot::Parked(state) = self.rng {
-                    self.rng = RngSlot::Lent(state);
-                }
-                Ok(Step::Grant(self.issue(speaker)))
-            }
+            });
         }
+        self.granted = Some((speaker, route));
+        if let RngSlot::Parked(state) = self.rng {
+            self.rng = RngSlot::Lent(state);
+        }
+        Ok(Step::Grant(self.issue(speaker, route)))
     }
 
-    fn issue(&self, speaker: PlayerId) -> Grant {
+    fn issue(&self, speaker: PlayerId, route: P::Route) -> Grant<P::Route> {
         Grant {
             speaker,
+            route,
             turn: self.steps,
             rng_state: match self.rng {
                 RngSlot::External => None,
@@ -369,8 +481,9 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
         }
     }
 
-    /// Applies the granted speaker's reply: writes `bits` on the board,
-    /// re-parks the returned RNG state, and advances the turn cursor.
+    /// Applies the granted speaker's reply: records `bits` on the granted
+    /// route, re-parks the returned RNG state, and advances the turn
+    /// cursor.
     ///
     /// `rng_state` must be the speaker's post-message serialized state
     /// for engines built with [`with_rng`](Self::with_rng); external-RNG
@@ -389,7 +502,7 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
         bits: BitVec,
         rng_state: Option<&[u8]>,
     ) -> Result<(), ProtocolViolation> {
-        let Some(granted) = self.granted else {
+        let Some((granted, route)) = self.granted else {
             return Err(ProtocolViolation::ReplyWithoutGrant { speaker });
         };
         if speaker != granted {
@@ -411,7 +524,7 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
             self.rng = RngSlot::Parked(state);
         }
         self.granted = None;
-        self.board.write(speaker, bits);
+        self.protocol.record(&mut self.board, speaker, route, bits);
         self.steps += 1;
         Ok(())
     }
@@ -422,7 +535,7 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
     }
 
     /// The board (= the transcript so far).
-    pub fn board(&self) -> &Board {
+    pub fn board(&self) -> &P::Board {
         &self.board
     }
 
@@ -433,12 +546,12 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
 
     /// Total bits written — the communication cost so far.
     pub fn bits_written(&self) -> usize {
-        self.board.total_bits()
+        self.protocol.bits(&self.board)
     }
 
     /// The player holding an outstanding grant, if any.
     pub fn granted(&self) -> Option<PlayerId> {
-        self.granted
+        self.granted.map(|(speaker, _)| speaker)
     }
 
     /// `true` once [`poll`](Self::poll) has observed the halt.
@@ -459,15 +572,15 @@ impl<'p, P: Protocol> TurnEngine<'p, P> {
     ///
     /// Meaningful once the engine halted; on a partial board this is
     /// whatever the protocol makes of it. May panic if the *protocol's*
-    /// `output` does — drivers that must contain that wrap this call in
+    /// output does — drivers that must contain that wrap this call in
     /// `catch_unwind`.
     pub fn output(&self) -> P::Output {
-        self.protocol.output(&self.board)
+        self.protocol.decide(&self.board)
     }
 
     /// Consumes the engine, returning the board (for drivers that seal a
     /// session result with the partial transcript).
-    pub fn into_board(self) -> Board {
+    pub fn into_board(self) -> P::Board {
         self.board
     }
 }
@@ -507,6 +620,28 @@ mod tests {
         fn output(&self, board: &Board) -> usize {
             board.total_bits()
         }
+    }
+
+    /// A `k`-player protocol naming `next` as the speaker on every turn
+    /// (`None`: it halts at once).
+    struct Fixed {
+        k: usize,
+        next: Option<PlayerId>,
+    }
+
+    impl Protocol for Fixed {
+        type Input = ();
+        type Output = ();
+        fn num_players(&self) -> usize {
+            self.k
+        }
+        fn next_speaker(&self, _board: &Board) -> Option<PlayerId> {
+            self.next
+        }
+        fn message(&self, _p: PlayerId, _i: &(), _b: &Board, _r: &mut dyn RngCore) -> BitVec {
+            BitVec::from_bools(&[true])
+        }
+        fn output(&self, _board: &Board) {}
     }
 
     fn drive(engine: &mut TurnEngine<'_, RoundRobin>, inputs: &[()]) {
@@ -601,22 +736,8 @@ mod tests {
 
     #[test]
     fn halted_poll_is_idempotent() {
-        struct Silent;
-        impl Protocol for Silent {
-            type Input = ();
-            type Output = ();
-            fn num_players(&self) -> usize {
-                1
-            }
-            fn next_speaker(&self, _board: &Board) -> Option<PlayerId> {
-                None
-            }
-            fn message(&self, _p: PlayerId, _i: &(), _b: &Board, _r: &mut dyn RngCore) -> BitVec {
-                BitVec::new()
-            }
-            fn output(&self, _board: &Board) {}
-        }
-        let mut engine = TurnEngine::new(&Silent, 1).unwrap();
+        let silent = Fixed { k: 1, next: None };
+        let mut engine = TurnEngine::new(&silent, 1).unwrap();
         assert_eq!(engine.poll().unwrap(), Step::Halted);
         assert_eq!(engine.poll().unwrap(), Step::Halted);
         assert!(engine.is_halted());
@@ -670,22 +791,11 @@ mod tests {
 
     #[test]
     fn out_of_range_speaker_is_a_violation() {
-        struct Bad;
-        impl Protocol for Bad {
-            type Input = ();
-            type Output = ();
-            fn num_players(&self) -> usize {
-                2
-            }
-            fn next_speaker(&self, _board: &Board) -> Option<PlayerId> {
-                Some(7)
-            }
-            fn message(&self, _p: PlayerId, _i: &(), _b: &Board, _r: &mut dyn RngCore) -> BitVec {
-                BitVec::new()
-            }
-            fn output(&self, _board: &Board) {}
-        }
-        let mut engine = TurnEngine::new(&Bad, 2).unwrap();
+        let bad = Fixed {
+            k: 2,
+            next: Some(7),
+        };
+        let mut engine = TurnEngine::new(&bad, 2).unwrap();
         let err = engine.poll().unwrap_err();
         assert_eq!(
             err,
@@ -701,22 +811,11 @@ mod tests {
 
     #[test]
     fn runaway_guard_trips_at_the_configured_budget() {
-        struct NeverHalts;
-        impl Protocol for NeverHalts {
-            type Input = ();
-            type Output = ();
-            fn num_players(&self) -> usize {
-                1
-            }
-            fn next_speaker(&self, _board: &Board) -> Option<PlayerId> {
-                Some(0)
-            }
-            fn message(&self, _p: PlayerId, _i: &(), _b: &Board, _r: &mut dyn RngCore) -> BitVec {
-                BitVec::from_bools(&[true])
-            }
-            fn output(&self, _board: &Board) {}
-        }
-        let mut engine = TurnEngine::new(&NeverHalts, 1).unwrap().with_max_steps(16);
+        let never_halts = Fixed {
+            k: 1,
+            next: Some(0),
+        };
+        let mut engine = TurnEngine::new(&never_halts, 1).unwrap().with_max_steps(16);
         let mut applied = 0usize;
         let err = loop {
             match engine.poll() {
@@ -726,7 +825,7 @@ mod tests {
                         .unwrap();
                     applied += 1;
                 }
-                Ok(Step::Halted) => panic!("NeverHalts halted"),
+                Ok(Step::Halted) => panic!("a fixed speaker never halts"),
                 Err(v) => break v,
             }
         };

@@ -75,6 +75,7 @@
 pub mod board;
 pub mod engine;
 pub mod general_tree;
+pub mod link;
 pub mod protocol;
 pub mod runner;
 pub mod stats;
@@ -82,7 +83,7 @@ pub mod tree;
 pub mod tree_protocol;
 
 pub use board::{Board, Message};
-pub use engine::{Grant, ProtocolViolation, Step, TurnEngine};
+pub use engine::{Grant, ProtocolViolation, Schedule, Step, TurnEngine};
 pub use protocol::{run, run_traced, Execution, Protocol};
 pub use stats::CommStats;
 pub use tree::ProtocolTree;

@@ -1,4 +1,4 @@
-//! Adapters between the routed and blackboard protocol worlds.
+//! Routed protocols on the blackboard drivers.
 //!
 //! [`Embedded`] simulates a routed protocol *on the blackboard*: every
 //! message is broadcast with a small self-describing link header, so all
@@ -13,24 +13,21 @@
 //!
 //! Note the model caveat: broadcasting the headers makes every link
 //! *publicly attributed* (who→who is visible to all), which matches the
-//! routed engine's public schedule metadata, but the message *payloads*
-//! also become publicly readable. The embedding is therefore a
-//! simulation harness for cost accounting and driver transport — not a
-//! privacy-preserving implementation of message passing.
-//!
-//! [`FromBlackboard`] goes the other way: any blackboard protocol is a
-//! routed protocol over [`Topology::Blackboard`] whose every link is
-//! broadcast. It exists for API completeness (one engine can drive
-//! both) and is exercised on small protocols.
+//! public schedule metadata a routed protocol's turn order may read, but
+//! the message *payloads* also become publicly readable. The embedding
+//! is therefore a simulation harness for cost accounting and driver
+//! transport — not a privacy-preserving implementation of message
+//! passing.
 
 use bci_blackboard::board::Board;
+use bci_blackboard::engine::Schedule;
 use bci_blackboard::protocol::Protocol;
 use bci_blackboard::PlayerId;
-use bci_encoding::bitio::BitVec;
+use bci_encoding::bitio::{BitReader, BitVec};
 use rand::RngCore;
 
-use crate::model::{Link, Topology};
-use crate::routed::{PlayerView, RoutedBoard, RoutedProtocol, SentMessage};
+use crate::model::Link;
+use crate::routed::{Routed, RoutedBoard, RoutedProtocol};
 
 /// Bits needed to address one of `players` endpoints.
 pub(crate) fn addr_bits(players: usize) -> usize {
@@ -74,40 +71,34 @@ impl<P: RoutedProtocol> Embedded<P> {
     ///
     /// # Panics
     ///
-    /// Panics if a message is too short for its header — a board this
-    /// protocol did not produce.
+    /// Panics if a message is too short for its header, or its header
+    /// names a malformed link (a destination out of range, or the
+    /// speaker itself) — a board this protocol did not produce.
     pub fn decode_board(&self, board: &Board) -> RoutedBoard {
-        let width = addr_bits(self.inner.num_players());
+        let players = self.inner.num_players();
+        let width = addr_bits(players);
         let mut routed = RoutedBoard::new();
         for m in board.messages() {
-            let kind = m
-                .bits
-                .get(0)
+            let mut header = BitReader::new(&m.bits);
+            let kind = header
+                .read_bit()
                 .expect("embedded message missing its kind bit");
-            let (link, skip) = if kind {
-                let mut to = 0usize;
-                for i in 0..width {
-                    if m.bits
-                        .get(1 + i)
-                        .expect("embedded message missing destination bits")
-                    {
-                        to |= 1 << i;
-                    }
+            let link = if kind {
+                let to = header
+                    .read_bits(width as u32)
+                    .expect("embedded message missing destination bits");
+                Link::Directed {
+                    from: m.speaker,
+                    to: to as usize,
                 }
-                (
-                    Link::Directed {
-                        from: m.speaker,
-                        to,
-                    },
-                    1 + width,
-                )
             } else {
-                (Link::Broadcast, 1)
+                Link::Broadcast
             };
-            let mut payload = BitVec::with_capacity(m.bits.len() - skip);
-            for i in skip..m.bits.len() {
-                payload.push(m.bits.get(i).expect("in range"));
-            }
+            assert!(
+                link.well_formed(players),
+                "embedded message carries malformed link {link} for {players} players"
+            );
+            let payload = m.bits.iter().skip(header.position()).collect();
             routed.write(m.speaker, link, payload);
         }
         routed
@@ -143,14 +134,8 @@ impl<P: RoutedProtocol> Protocol for Embedded<P> {
             speaker, player,
             "blackboard grant disagrees with the routed schedule"
         );
-        let topology = self.inner.topology();
-        assert!(
-            link.well_formed(self.inner.num_players()) && topology.allows(&link),
-            "routed protocol granted link {link} forbidden under the {} topology",
-            topology.name()
-        );
-        if let Link::Directed { from, .. } = link {
-            assert_eq!(from, speaker, "directed link must originate at the speaker");
+        if let Err(violation) = Routed(&self.inner).check_turn(speaker, link) {
+            panic!("{violation}");
         }
         let payload = self.inner.message(player, input, &routed.view(player), rng);
         let width = addr_bits(self.inner.num_players());
@@ -173,77 +158,11 @@ impl<P: RoutedProtocol> Protocol for Embedded<P> {
     }
 }
 
-/// A blackboard protocol viewed as a routed protocol over
-/// [`Topology::Blackboard`]: every turn is a broadcast link.
-#[derive(Debug, Clone)]
-pub struct FromBlackboard<P: Protocol> {
-    inner: P,
-}
-
-impl<P: Protocol> FromBlackboard<P> {
-    /// Wraps `inner` for execution on the routed engine.
-    pub fn new(inner: P) -> Self {
-        FromBlackboard { inner }
-    }
-
-    /// The wrapped blackboard protocol.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    fn as_board(messages: &[SentMessage]) -> Board {
-        let mut board = Board::new();
-        for m in messages {
-            board.write(m.speaker, m.bits.clone());
-        }
-        board
-    }
-}
-
-impl<P: Protocol> RoutedProtocol for FromBlackboard<P> {
-    type Input = P::Input;
-    type Output = P::Output;
-
-    fn topology(&self) -> Topology {
-        Topology::Blackboard
-    }
-
-    fn num_players(&self) -> usize {
-        self.inner.num_players()
-    }
-
-    fn next_turn(&self, board: &RoutedBoard) -> Option<(PlayerId, Link)> {
-        let bb = Self::as_board(board.messages());
-        self.inner
-            .next_speaker(&bb)
-            .map(|speaker| (speaker, Link::Broadcast))
-    }
-
-    fn message(
-        &self,
-        speaker: PlayerId,
-        input: &Self::Input,
-        view: &PlayerView<'_>,
-        rng: &mut dyn RngCore,
-    ) -> BitVec {
-        // Broadcast links are visible to everyone, so the view is the
-        // full transcript.
-        let mut bb = Board::new();
-        for m in view.messages() {
-            bb.write(m.speaker, m.bits.clone());
-        }
-        self.inner.message(speaker, input, &bb, rng)
-    }
-
-    fn output(&self, board: &RoutedBoard) -> Self::Output {
-        self.inner.output(&Self::as_board(board.messages()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routed::run_routed;
+    use crate::model::Topology;
+    use crate::routed::{run_routed, PlayerView};
     use bci_blackboard::protocol::run;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -327,42 +246,24 @@ mod tests {
         );
     }
 
+    /// A k = 3 board whose player-1 message is `bits`.
+    fn board_with(bits: &[bool]) -> Board {
+        let mut board = Board::new();
+        board.write(1, BitVec::from_bools(bits));
+        board
+    }
+
     #[test]
-    fn from_blackboard_matches_the_native_run() {
-        /// Two players each broadcast two random bits; output is the OR.
-        struct Or2;
-        impl Protocol for Or2 {
-            type Input = ();
-            type Output = bool;
-            fn num_players(&self) -> usize {
-                2
-            }
-            fn next_speaker(&self, board: &Board) -> Option<PlayerId> {
-                (board.messages().len() < 2).then_some(board.messages().len())
-            }
-            fn message(&self, _p: PlayerId, _i: &(), _b: &Board, rng: &mut dyn RngCore) -> BitVec {
-                let r = rng.next_u32();
-                BitVec::from_bools(&[r & 1 == 1, r & 2 == 2])
-            }
-            fn output(&self, board: &Board) -> bool {
-                board.messages().iter().any(|m| m.bits.iter().any(|b| b))
-            }
-        }
+    #[should_panic(expected = "malformed link 1->3 for 3 players")]
+    fn decode_rejects_an_out_of_range_destination() {
+        // Kind bit 1, destination bits 1,1 (LSB-first) = 3, payload 0.
+        Embedded::new(Relay).decode_board(&board_with(&[true, true, true, false]));
+    }
 
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let native = run(&Or2, &[(), ()], &mut rng);
-
-        let routed = FromBlackboard::new(Or2);
-        let exec = run_routed(&routed, &[(), ()], &ChaCha8Rng::seed_from_u64(4));
-        assert_eq!(exec.output, native.output);
-        assert_eq!(exec.stats.total_bits, native.bits_written);
-        assert_eq!(exec.stats.broadcast_bits, native.bits_written);
-        assert_eq!(exec.stats.directed_bits, 0);
-        // Transcripts agree message by message.
-        for (r, b) in exec.board.messages().iter().zip(native.board.messages()) {
-            assert_eq!(r.speaker, b.speaker);
-            assert_eq!(r.link, Link::Broadcast);
-            assert_eq!(r.bits, b.bits);
-        }
+    #[test]
+    #[should_panic(expected = "malformed link 1->1 for 3 players")]
+    fn decode_rejects_a_self_loop() {
+        // Kind bit 1, destination bits 1,0 = 1: the speaker itself.
+        Embedded::new(Relay).decode_board(&board_with(&[true, true, false]));
     }
 }

@@ -10,13 +10,14 @@
 //! executable:
 //!
 //! * [`Link`] / [`Topology`] — who may carry a message and who sees it
-//!   ([`model`]);
-//! * [`RoutedProtocol`] + [`RoutedEngine`] — a sans-io turn engine with
-//!   the blackboard engine's exact grant/parking/replay discipline, plus
-//!   per-link transcripts, per-player visibility, and per-link cost
-//!   accounting ([`routed`]);
-//! * [`Embedded`] / [`FromBlackboard`] — adapters so routed protocols run
-//!   on all existing blackboard drivers and vice versa ([`embed`]).
+//!   ([`model`]; `Link` itself lives in `bci_blackboard::link`);
+//! * [`RoutedProtocol`] + [`Routed`] — message-passing protocols run on
+//!   the blackboard crate's one sans-io `TurnEngine`, with its exact
+//!   grant/parking/replay discipline, plus per-link transcripts,
+//!   per-player visibility, topology checks on every granted link, and
+//!   per-link cost accounting ([`routed`]);
+//! * [`Embedded`] — an adapter so routed protocols run on all existing
+//!   blackboard drivers ([`embed`]).
 //!
 //! # Example
 //!
@@ -70,9 +71,9 @@ pub mod embed;
 pub mod model;
 pub mod routed;
 
-pub use embed::{Embedded, FromBlackboard};
+pub use embed::Embedded;
 pub use model::{Link, Topology};
 pub use routed::{
-    run_routed, PlayerView, RoutedBoard, RoutedEngine, RoutedExecution, RoutedGrant,
-    RoutedProtocol, RoutedStep, RoutedViolation, SentMessage, TopologyCommStats,
+    run_routed, PlayerView, Routed, RoutedBoard, RoutedExecution, RoutedProtocol, SentMessage,
+    TopologyCommStats,
 };

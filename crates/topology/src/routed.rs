@@ -1,27 +1,29 @@
-//! The sans-io routed turn engine: `TurnEngine` semantics over any
-//! [`Topology`].
+//! Routed protocols: message passing over any [`Topology`], driven by
+//! the blackboard crate's [`TurnEngine`].
 //!
-//! [`RoutedEngine`] carries the blackboard engine's contract — poll for a
-//! grant, perform the turn anywhere, apply the reply; one outstanding
-//! grant at a time; the serialized ChaCha8 session-RNG state parked
-//! between turns and shipped inside every grant — to protocols whose
-//! messages travel on *links* instead of one shared board:
+//! A [`RoutedProtocol`] writes each message on a *link* instead of one
+//! shared board. Wrapped in [`Routed`], it is a [`Schedule`], so the one
+//! turn engine drives it with the blackboard contract unchanged — poll
+//! for a grant, perform the turn anywhere, apply the reply; one
+//! outstanding grant at a time; the serialized ChaCha8 session-RNG state
+//! parked between turns and shipped inside every grant. What routing
+//! adds:
 //!
-//! * every message is recorded with its [`Link`], giving per-edge
-//!   transcripts ([`RoutedBoard`]);
+//! * every message is recorded with its [`Link`] (the grant's `route`),
+//!   giving per-edge transcripts ([`RoutedBoard`]);
 //! * a speaker composes its message from a [`PlayerView`] — only the
 //!   messages its player can see under the link visibility rule — so
 //!   privacy is structural, not a convention;
-//! * the engine validates every granted link against the protocol's
-//!   topology (a blackboard protocol cannot sneak a directed edge, a
-//!   star protocol cannot bypass its hub);
+//! * every granted link is checked against the protocol's topology
+//!   before the grant goes out (a star protocol cannot bypass its hub,
+//!   no message-passing protocol can broadcast);
 //! * per-link bits accounting rolls up into a [`TopologyCommStats`].
 //!
-//! Violations reuse the blackboard engine's structured
-//! [`ProtocolViolation`] taxonomy (wrapped in [`RoutedViolation`]) so
-//! abort reasons render identically across drivers, and the board has a
-//! canonical byte serialization + FNV-1a digest for the same replay
-//! verification the mux/load harnesses perform on blackboard sessions.
+//! Violations are the engine's [`ProtocolViolation`]s, link failures
+//! included, so abort reasons render identically across drivers, and the
+//! board has a canonical byte serialization + FNV-1a digest for the same
+//! replay verification the mux/load harnesses perform on blackboard
+//! sessions.
 //!
 //! # Determinism
 //!
@@ -32,14 +34,11 @@
 //! produce byte-identical [`RoutedBoard`]s (see the driver-equivalence
 //! tests in `bci-mux`).
 
-use std::fmt;
-
-use bci_blackboard::engine::ProtocolViolation;
-use bci_blackboard::protocol::MAX_STEPS;
+use bci_blackboard::engine::{ProtocolViolation, Schedule, Step, TurnEngine};
 use bci_blackboard::PlayerId;
 use bci_encoding::bitio::BitVec;
 use rand::RngCore;
-use rand_chacha::{ChaCha8Rng, STATE_LEN};
+use rand_chacha::ChaCha8Rng;
 
 use crate::model::{Link, Topology};
 
@@ -292,395 +291,62 @@ pub trait RoutedProtocol {
     fn output(&self, board: &RoutedBoard) -> Self::Output;
 }
 
-/// A violation of the routed protocol/driver contract.
+/// A [`RoutedProtocol`] as the turn engine's [`Schedule`]: the
+/// transcript is a [`RoutedBoard`], every grant's `route` is its
+/// [`Link`], and [`check_turn`](Schedule::check_turn) enforces the link
+/// discipline.
 ///
-/// Wraps the blackboard engine's [`ProtocolViolation`] (so the shared
-/// abort-reason strings stay canonical across every driver) and adds the
-/// link-discipline failures only routed protocols can commit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum RoutedViolation {
-    /// A violation of the turn/grant/RNG contract shared with the
-    /// blackboard engine.
-    Core(ProtocolViolation),
-    /// The protocol granted a link its own topology forbids.
-    LinkNotAllowed {
-        /// The granted speaker.
-        speaker: PlayerId,
-        /// The offending link.
-        link: Link,
-        /// `Topology::name()` of the protocol's topology.
-        topology: &'static str,
-    },
-    /// The granted link is malformed: an endpoint out of range, or a
-    /// directed self-loop.
-    MalformedLink {
-        /// The offending link.
-        link: Link,
-        /// Roster size `k`.
-        players: usize,
-    },
-    /// A directed link whose `from` is not the granted speaker.
-    ForeignLink {
-        /// The granted speaker.
-        speaker: PlayerId,
-        /// The link (with `from != speaker`).
-        link: Link,
-    },
-}
+/// Drive it like a blackboard protocol — `TurnEngine::with_rng(&Routed(&p),
+/// ..)` — with the speaker composing its message from
+/// `engine.board().view(grant.speaker)`; [`run_routed`] is the reference
+/// loop.
+#[derive(Debug)]
+pub struct Routed<'a, P>(pub &'a P);
 
-impl fmt::Display for RoutedViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RoutedViolation::Core(v) => v.fmt(f),
-            RoutedViolation::LinkNotAllowed {
+impl<P: RoutedProtocol> Schedule for Routed<'_, P> {
+    type Board = RoutedBoard;
+    type Route = Link;
+    type Output = P::Output;
+
+    fn players(&self) -> usize {
+        self.0.num_players()
+    }
+
+    fn next_turn(&self, board: &RoutedBoard) -> Option<(PlayerId, Link)> {
+        self.0.next_turn(board)
+    }
+
+    /// Rejects, in order, a malformed link, a directed link that does
+    /// not start at the speaker, and a link the topology forbids.
+    fn check_turn(&self, speaker: PlayerId, link: Link) -> Result<(), ProtocolViolation> {
+        let players = self.0.num_players();
+        if !link.well_formed(players) {
+            return Err(ProtocolViolation::MalformedLink { link, players });
+        }
+        if matches!(link, Link::Directed { from, .. } if from != speaker) {
+            return Err(ProtocolViolation::ForeignLink { speaker, link });
+        }
+        let topology = self.0.topology();
+        if !topology.allows(&link) {
+            return Err(ProtocolViolation::LinkNotAllowed {
                 speaker,
                 link,
-                topology,
-            } => {
-                write!(
-                    f,
-                    "player {speaker} granted link {link}, not allowed under the {topology} topology"
-                )
-            }
-            RoutedViolation::MalformedLink { link, players } => {
-                write!(f, "malformed link {link} for {players} players")
-            }
-            RoutedViolation::ForeignLink { speaker, link } => {
-                write!(f, "player {speaker} granted foreign link {link}")
-            }
+                topology: topology.name(),
+            });
         }
-    }
-}
-
-impl std::error::Error for RoutedViolation {}
-
-impl From<ProtocolViolation> for RoutedViolation {
-    fn from(v: ProtocolViolation) -> Self {
-        RoutedViolation::Core(v)
-    }
-}
-
-/// One granted routed turn: the blackboard [`Grant`] plus the link the
-/// message must travel on.
-///
-/// [`Grant`]: bci_blackboard::engine::Grant
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoutedGrant {
-    /// The player whose turn it is.
-    pub speaker: PlayerId,
-    /// The link the message will be recorded on.
-    pub link: Link,
-    /// Zero-based turn number (== board writes so far).
-    pub turn: usize,
-    /// The serialized session-RNG state the speaker must resume from;
-    /// `None` for external-RNG engines.
-    pub rng_state: Option<[u8; STATE_LEN]>,
-}
-
-impl RoutedGrant {
-    /// Resumes the session RNG from the grant's serialized state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine was built without an RNG
-    /// ([`RoutedEngine::new`]); external-RNG drivers bring their own.
-    pub fn resume_rng(&self) -> ChaCha8Rng {
-        let state = self
-            .rng_state
-            .as_ref()
-            .expect("grant carries no RNG state (external-RNG engine)");
-        ChaCha8Rng::from_state_bytes(state)
-    }
-}
-
-/// What the routed engine asks its driver to do next.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RoutedStep {
-    /// A turn is granted: have `speaker` compute its message from its
-    /// view and hand the bits back via [`RoutedEngine::apply`].
-    Grant(RoutedGrant),
-    /// The protocol halted; the board is final.
-    Halted,
-}
-
-/// Where the session RNG lives right now (the blackboard engine's
-/// parking discipline, verbatim).
-#[derive(Debug, Clone)]
-enum RngSlot {
-    External,
-    Parked([u8; STATE_LEN]),
-    Lent([u8; STATE_LEN]),
-}
-
-/// The sans-io routed protocol state machine driving one session.
-///
-/// See the [module docs](self) for the contract; the driver loop is the
-/// blackboard `TurnEngine`'s with [`RoutedGrant`] in place of `Grant`.
-pub struct RoutedEngine<'p, P: RoutedProtocol> {
-    protocol: &'p P,
-    topology: Topology,
-    board: RoutedBoard,
-    rng: RngSlot,
-    steps: usize,
-    max_steps: usize,
-    granted: Option<(PlayerId, Link)>,
-    halted: bool,
-}
-
-impl<P: RoutedProtocol> fmt::Debug for RoutedEngine<'_, P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RoutedEngine")
-            .field("topology", &self.topology)
-            .field("board", &self.board)
-            .field("rng", &self.rng)
-            .field("steps", &self.steps)
-            .field("max_steps", &self.max_steps)
-            .field("granted", &self.granted)
-            .field("halted", &self.halted)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<P: RoutedProtocol> Clone for RoutedEngine<'_, P> {
-    fn clone(&self) -> Self {
-        RoutedEngine {
-            protocol: self.protocol,
-            topology: self.topology,
-            board: self.board.clone(),
-            rng: self.rng.clone(),
-            steps: self.steps,
-            max_steps: self.max_steps,
-            granted: self.granted,
-            halted: self.halted,
-        }
-    }
-}
-
-impl<'p, P: RoutedProtocol> RoutedEngine<'p, P> {
-    /// An engine whose driver owns the random source (grants carry no
-    /// RNG state).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolViolation::InputCount`] if `input_count` differs from
-    /// `protocol.num_players()`.
-    pub fn new(protocol: &'p P, input_count: usize) -> Result<Self, RoutedViolation> {
-        Self::build(protocol, input_count, RngSlot::External)
-    }
-
-    /// An engine that parks the serialized ChaCha8 session-RNG state
-    /// between turns and ships it inside every grant — the discipline
-    /// every transport shares with the blackboard engine.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolViolation::InputCount`] if `input_count` differs from
-    /// `protocol.num_players()`.
-    pub fn with_rng(
-        protocol: &'p P,
-        input_count: usize,
-        rng: &ChaCha8Rng,
-    ) -> Result<Self, RoutedViolation> {
-        Self::build(protocol, input_count, RngSlot::Parked(rng.state_bytes()))
-    }
-
-    fn build(protocol: &'p P, input_count: usize, rng: RngSlot) -> Result<Self, RoutedViolation> {
-        let expected = protocol.num_players();
-        if input_count != expected {
-            return Err(ProtocolViolation::InputCount {
-                expected,
-                got: input_count,
-            }
-            .into());
-        }
-        Ok(RoutedEngine {
-            protocol,
-            topology: protocol.topology(),
-            board: RoutedBoard::new(),
-            rng,
-            steps: 0,
-            max_steps: MAX_STEPS,
-            granted: None,
-            halted: false,
-        })
-    }
-
-    /// Overrides the runaway guard (default `MAX_STEPS`).
-    #[must_use]
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Advances the state machine: grants the next turn (validating the
-    /// link against the topology), re-issues the outstanding grant
-    /// (polling is idempotent), or reports the halt.
-    ///
-    /// # Errors
-    ///
-    /// * [`ProtocolViolation::SpeakerOutOfRange`] (wrapped) — the
-    ///   schedule named a player `>= num_players`;
-    /// * [`RoutedViolation::MalformedLink`] /
-    ///   [`RoutedViolation::ForeignLink`] /
-    ///   [`RoutedViolation::LinkNotAllowed`] — link-discipline failures;
-    /// * [`ProtocolViolation::Runaway`] (wrapped) — step budget
-    ///   exhausted and the protocol still wants to speak.
-    pub fn poll(&mut self) -> Result<RoutedStep, RoutedViolation> {
-        if self.halted {
-            return Ok(RoutedStep::Halted);
-        }
-        if let Some((speaker, link)) = self.granted {
-            return Ok(RoutedStep::Grant(self.issue(speaker, link)));
-        }
-        let players = self.protocol.num_players();
-        match self.protocol.next_turn(&self.board) {
-            None => {
-                self.halted = true;
-                Ok(RoutedStep::Halted)
-            }
-            Some((speaker, _)) if speaker >= players => {
-                Err(ProtocolViolation::SpeakerOutOfRange { speaker, players }.into())
-            }
-            Some((_, link)) if !link.well_formed(players) => {
-                Err(RoutedViolation::MalformedLink { link, players })
-            }
-            Some((speaker, link @ Link::Directed { from, .. })) if from != speaker => {
-                Err(RoutedViolation::ForeignLink { speaker, link })
-            }
-            Some((speaker, link)) if !self.topology.allows(&link) => {
-                Err(RoutedViolation::LinkNotAllowed {
-                    speaker,
-                    link,
-                    topology: self.topology.name(),
-                })
-            }
-            Some(_) if self.steps >= self.max_steps => Err(ProtocolViolation::Runaway {
-                max_steps: self.max_steps,
-            }
-            .into()),
-            Some((speaker, link)) => {
-                self.granted = Some((speaker, link));
-                if let RngSlot::Parked(state) = self.rng {
-                    self.rng = RngSlot::Lent(state);
-                }
-                Ok(RoutedStep::Grant(self.issue(speaker, link)))
-            }
-        }
-    }
-
-    fn issue(&self, speaker: PlayerId, link: Link) -> RoutedGrant {
-        RoutedGrant {
-            speaker,
-            link,
-            turn: self.steps,
-            rng_state: match self.rng {
-                RngSlot::External => None,
-                RngSlot::Parked(state) | RngSlot::Lent(state) => Some(state),
-            },
-        }
-    }
-
-    /// Applies the granted speaker's reply: records `bits` on the
-    /// granted link, re-parks the returned RNG state, and advances the
-    /// turn cursor.
-    ///
-    /// # Errors
-    ///
-    /// The blackboard engine's reply contract, wrapped:
-    /// `ReplyWithoutGrant`, `WrongSpeaker`, `BadRngState`.
-    pub fn apply(
-        &mut self,
-        speaker: PlayerId,
-        bits: BitVec,
-        rng_state: Option<&[u8]>,
-    ) -> Result<(), RoutedViolation> {
-        let Some((granted, link)) = self.granted else {
-            return Err(ProtocolViolation::ReplyWithoutGrant { speaker }.into());
-        };
-        if speaker != granted {
-            return Err(ProtocolViolation::WrongSpeaker { granted, speaker }.into());
-        }
-        if let RngSlot::Lent(_) = self.rng {
-            let state: [u8; STATE_LEN] = match rng_state {
-                Some(bytes) => match bytes.try_into() {
-                    Ok(state) => state,
-                    Err(_) => {
-                        return Err(ProtocolViolation::BadRngState {
-                            speaker,
-                            len: bytes.len(),
-                        }
-                        .into())
-                    }
-                },
-                None => return Err(ProtocolViolation::BadRngState { speaker, len: 0 }.into()),
-            };
-            self.rng = RngSlot::Parked(state);
-        }
-        self.granted = None;
-        self.board.write(speaker, link, bits);
-        self.steps += 1;
         Ok(())
     }
 
-    /// The protocol this engine drives.
-    pub fn protocol(&self) -> &'p P {
-        self.protocol
+    fn record(&self, board: &mut RoutedBoard, speaker: PlayerId, link: Link, bits: BitVec) {
+        board.write(speaker, link, bits);
     }
 
-    /// The global transcript so far.
-    pub fn board(&self) -> &RoutedBoard {
-        &self.board
+    fn bits(&self, board: &RoutedBoard) -> usize {
+        board.total_bits()
     }
 
-    /// `player`'s view of the transcript so far.
-    pub fn view(&self, player: PlayerId) -> PlayerView<'_> {
-        self.board.view(player)
-    }
-
-    /// Turn cursor: messages applied so far.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-
-    /// Total payload bits — the communication cost so far.
-    pub fn bits_written(&self) -> usize {
-        self.board.total_bits()
-    }
-
-    /// The outstanding grant, if any.
-    pub fn granted(&self) -> Option<(PlayerId, Link)> {
-        self.granted
-    }
-
-    /// `true` once [`poll`](Self::poll) has observed the halt.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// The parked session-RNG state, when the engine holds one and no
-    /// grant is outstanding.
-    pub fn rng_state(&self) -> Option<&[u8; STATE_LEN]> {
-        match &self.rng {
-            RngSlot::Parked(state) => Some(state),
-            _ => None,
-        }
-    }
-
-    /// Per-link / per-player accounting for the transcript so far.
-    pub fn stats(&self) -> TopologyCommStats {
-        TopologyCommStats::from_board(&self.board, self.protocol.num_players())
-    }
-
-    /// The protocol's output for the final board (meaningful once
-    /// halted).
-    pub fn output(&self) -> P::Output {
-        self.protocol.output(&self.board)
-    }
-
-    /// Consumes the engine, returning the board.
-    pub fn into_board(self) -> RoutedBoard {
-        self.board
+    fn decide(&self, board: &RoutedBoard) -> P::Output {
+        self.0.output(board)
     }
 }
 
@@ -698,36 +364,37 @@ pub struct RoutedExecution<O> {
     pub digest: u64,
 }
 
-/// The serial reference driver: runs `protocol` on `inputs` under the
-/// grant/parking discipline, starting from `rng`'s current state.
+/// The serial reference driver: runs `protocol` on `inputs` through the
+/// [`TurnEngine`] under the grant/parking discipline, starting from
+/// `rng`'s current state.
 ///
 /// # Panics
 ///
-/// Panics on any [`RoutedViolation`] — the serial driver treats contract
-/// violations as programming errors, exactly like the blackboard
-/// `run`/`run_traced`.
+/// Panics on any [`ProtocolViolation`] — the serial driver treats
+/// contract violations as programming errors, exactly like the
+/// blackboard `run`/`run_traced`.
 pub fn run_routed<P: RoutedProtocol>(
     protocol: &P,
     inputs: &[P::Input],
     rng: &ChaCha8Rng,
 ) -> RoutedExecution<P::Output> {
-    let mut engine =
-        RoutedEngine::with_rng(protocol, inputs.len(), rng).expect("input count matches");
-    while let RoutedStep::Grant(grant) = engine.poll().expect("routed protocol violation") {
+    let routed = Routed(protocol);
+    let mut engine = TurnEngine::with_rng(&routed, inputs.len(), rng).expect("input count matches");
+    while let Step::Grant(grant) = engine.poll().expect("routed protocol violation") {
         let mut rng = grant.resume_rng();
         let bits = protocol.message(
             grant.speaker,
             &inputs[grant.speaker],
-            &engine.view(grant.speaker),
+            &engine.board().view(grant.speaker),
             &mut rng,
         );
         engine
             .apply(grant.speaker, bits, Some(&rng.state_bytes()))
             .expect("reply matches the grant");
     }
-    let stats = engine.stats();
     let output = engine.output();
     let board = engine.into_board();
+    let stats = TopologyCommStats::from_board(&board, protocol.num_players());
     let digest = board.digest();
     RoutedExecution {
         board,
@@ -741,6 +408,7 @@ pub fn run_routed<P: RoutedProtocol>(
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use rand_chacha::STATE_LEN;
 
     /// Non-hub players send one random bit to the hub; the hub answers
     /// each with the parity so far.
@@ -806,6 +474,46 @@ mod tests {
         }
     }
 
+    /// A 3-player protocol on `topology` that grants `turns[t]` on turn
+    /// `t` and repeats the last turn forever.
+    struct Scripted {
+        topology: Topology,
+        turns: Vec<(PlayerId, Link)>,
+    }
+
+    impl RoutedProtocol for Scripted {
+        type Input = ();
+        type Output = ();
+        fn topology(&self) -> Topology {
+            self.topology
+        }
+        fn num_players(&self) -> usize {
+            3
+        }
+        fn next_turn(&self, b: &RoutedBoard) -> Option<(PlayerId, Link)> {
+            Some(self.turns[b.messages().len().min(self.turns.len() - 1)])
+        }
+        fn message(
+            &self,
+            _s: PlayerId,
+            _i: &(),
+            _v: &PlayerView<'_>,
+            _r: &mut dyn RngCore,
+        ) -> BitVec {
+            BitVec::from_bools(&[true])
+        }
+        fn output(&self, _b: &RoutedBoard) {}
+    }
+
+    /// The violation the first poll reports for `turns` on `topology`.
+    fn first_violation(topology: Topology, turns: Vec<(PlayerId, Link)>) -> ProtocolViolation {
+        let proto = Scripted { topology, turns };
+        let routed = Routed(&proto);
+        TurnEngine::new(&routed, 3).unwrap().poll().unwrap_err()
+    }
+
+    const STAR: Topology = Topology::CoordinatorStar { hub: 0 };
+
     #[test]
     fn star_echo_runs_and_accounts_per_link() {
         let rng = ChaCha8Rng::seed_from_u64(5);
@@ -847,36 +555,17 @@ mod tests {
 
     #[test]
     fn the_engine_enforces_the_topology() {
-        /// Claims the star topology but grants a spoke-to-spoke link.
-        struct Sneaky;
-        impl RoutedProtocol for Sneaky {
-            type Input = ();
-            type Output = ();
-            fn topology(&self) -> Topology {
-                Topology::CoordinatorStar { hub: 0 }
-            }
-            fn num_players(&self) -> usize {
-                3
-            }
-            fn next_turn(&self, _b: &RoutedBoard) -> Option<(PlayerId, Link)> {
-                Some((1, Link::Directed { from: 1, to: 2 }))
-            }
-            fn message(
-                &self,
-                _s: PlayerId,
-                _i: &(),
-                _v: &PlayerView<'_>,
-                _r: &mut dyn RngCore,
-            ) -> BitVec {
-                BitVec::new()
-            }
-            fn output(&self, _b: &RoutedBoard) {}
-        }
-        let mut engine = RoutedEngine::new(&Sneaky, 3).unwrap();
+        // The star topology forbids a spoke-to-spoke link.
+        let sneaky = Scripted {
+            topology: STAR,
+            turns: vec![(1, Link::Directed { from: 1, to: 2 })],
+        };
+        let routed = Routed(&sneaky);
+        let mut engine = TurnEngine::new(&routed, 3).unwrap();
         let err = engine.poll().unwrap_err();
         assert_eq!(
             err,
-            RoutedViolation::LinkNotAllowed {
+            ProtocolViolation::LinkNotAllowed {
                 speaker: 1,
                 link: Link::Directed { from: 1, to: 2 },
                 topology: "star",
@@ -892,53 +581,22 @@ mod tests {
 
     #[test]
     fn foreign_and_malformed_links_are_violations() {
-        struct Bad {
-            link: Link,
-        }
-        impl RoutedProtocol for Bad {
-            type Input = ();
-            type Output = ();
-            fn topology(&self) -> Topology {
-                Topology::PointToPoint
-            }
-            fn num_players(&self) -> usize {
-                3
-            }
-            fn next_turn(&self, _b: &RoutedBoard) -> Option<(PlayerId, Link)> {
-                Some((1, self.link))
-            }
-            fn message(
-                &self,
-                _s: PlayerId,
-                _i: &(),
-                _v: &PlayerView<'_>,
-                _r: &mut dyn RngCore,
-            ) -> BitVec {
-                BitVec::new()
-            }
-            fn output(&self, _b: &RoutedBoard) {}
-        }
+        let p2p = Topology::PointToPoint;
         // from != speaker.
-        let bad = Bad {
-            link: Link::Directed { from: 2, to: 0 },
-        };
-        let err = RoutedEngine::new(&bad, 3).unwrap().poll().unwrap_err();
+        let err = first_violation(p2p, vec![(1, Link::Directed { from: 2, to: 0 })]);
         assert_eq!(
             err,
-            RoutedViolation::ForeignLink {
+            ProtocolViolation::ForeignLink {
                 speaker: 1,
                 link: Link::Directed { from: 2, to: 0 },
             }
         );
         assert_eq!(err.to_string(), "player 1 granted foreign link 2->0");
         // Out-of-range endpoint.
-        let bad = Bad {
-            link: Link::Directed { from: 1, to: 9 },
-        };
-        let err = RoutedEngine::new(&bad, 3).unwrap().poll().unwrap_err();
+        let err = first_violation(p2p, vec![(1, Link::Directed { from: 1, to: 9 })]);
         assert_eq!(
             err,
-            RoutedViolation::MalformedLink {
+            ProtocolViolation::MalformedLink {
                 link: Link::Directed { from: 1, to: 9 },
                 players: 3,
             }
@@ -949,25 +607,23 @@ mod tests {
     #[test]
     fn grant_discipline_matches_the_blackboard_engine() {
         let proto = StarEcho { k: 3 };
+        let routed = Routed(&proto);
         let rng = ChaCha8Rng::seed_from_u64(0);
-        let mut engine = RoutedEngine::with_rng(&proto, 3, &rng).unwrap();
+        let mut engine = TurnEngine::with_rng(&routed, 3, &rng).unwrap();
 
         // Reply before any grant.
         let err = engine.apply(1, BitVec::new(), None).unwrap_err();
-        assert_eq!(
-            err,
-            RoutedViolation::Core(ProtocolViolation::ReplyWithoutGrant { speaker: 1 })
-        );
+        assert_eq!(err, ProtocolViolation::ReplyWithoutGrant { speaker: 1 });
 
         // Poll is idempotent while a grant is outstanding.
         let first = engine.poll().unwrap();
         let again = engine.poll().unwrap();
         assert_eq!(first, again);
-        let RoutedStep::Grant(grant) = first else {
+        let Step::Grant(grant) = first else {
             panic!("expected a grant")
         };
         assert_eq!(grant.speaker, 1);
-        assert_eq!(grant.link, Link::Directed { from: 1, to: 0 });
+        assert_eq!(grant.route, Link::Directed { from: 1, to: 0 });
         assert!(grant.rng_state.is_some());
 
         // Wrong speaker; then bad RNG state; the canonical strings hold.
@@ -980,7 +636,7 @@ mod tests {
 
         // A good reply lands; the RNG state re-parks.
         let mut rng = grant.resume_rng();
-        let bits = proto.message(1, &(), &engine.view(1), &mut rng);
+        let bits = proto.message(1, &(), &engine.board().view(1), &mut rng);
         engine
             .apply(1, bits, Some(&rng.state_bytes()))
             .expect("valid reply");
@@ -990,48 +646,68 @@ mod tests {
 
     #[test]
     fn runaway_guard_trips_at_the_configured_budget() {
-        struct Chatty;
-        impl RoutedProtocol for Chatty {
-            type Input = ();
-            type Output = ();
-            fn topology(&self) -> Topology {
-                Topology::PointToPoint
-            }
-            fn num_players(&self) -> usize {
-                2
-            }
-            fn next_turn(&self, _b: &RoutedBoard) -> Option<(PlayerId, Link)> {
-                Some((0, Link::Directed { from: 0, to: 1 }))
-            }
-            fn message(
-                &self,
-                _s: PlayerId,
-                _i: &(),
-                _v: &PlayerView<'_>,
-                _r: &mut dyn RngCore,
-            ) -> BitVec {
-                BitVec::from_bools(&[true])
-            }
-            fn output(&self, _b: &RoutedBoard) {}
-        }
-        let mut engine = RoutedEngine::new(&Chatty, 2).unwrap().with_max_steps(8);
+        let chatty = Scripted {
+            topology: Topology::PointToPoint,
+            turns: vec![(0, Link::Directed { from: 0, to: 1 })],
+        };
+        let routed = Routed(&chatty);
+        let mut engine = TurnEngine::new(&routed, 3).unwrap().with_max_steps(8);
         let err = loop {
             match engine.poll() {
-                Ok(RoutedStep::Grant(g)) => {
+                Ok(Step::Grant(g)) => {
                     engine
                         .apply(g.speaker, BitVec::from_bools(&[true]), None)
                         .unwrap();
                 }
-                Ok(RoutedStep::Halted) => panic!("Chatty halted"),
+                Ok(Step::Halted) => panic!("a scripted protocol never halts"),
                 Err(v) => break v,
             }
         };
-        assert_eq!(
-            err,
-            RoutedViolation::Core(ProtocolViolation::Runaway { max_steps: 8 })
-        );
+        assert_eq!(err, ProtocolViolation::Runaway { max_steps: 8 });
         assert_eq!(err.to_string(), "protocol exceeded 8 turns");
         assert_eq!(engine.steps(), 8);
+    }
+
+    #[test]
+    fn poll_checks_speaker_then_link_then_budget() {
+        // An out-of-range speaker on a malformed link: the speaker check
+        // comes first.
+        let err = first_violation(STAR, vec![(5, Link::Directed { from: 5, to: 5 })]);
+        assert_eq!(
+            err,
+            ProtocolViolation::SpeakerOutOfRange {
+                speaker: 5,
+                players: 3
+            }
+        );
+
+        // Past the step budget, a forbidden link is still reported as
+        // the link violation, not as a runaway.
+        let spoke_to_spoke = Link::Directed { from: 1, to: 2 };
+        let late = Scripted {
+            topology: STAR,
+            turns: vec![
+                (1, Link::Directed { from: 1, to: 0 }),
+                (0, Link::Directed { from: 0, to: 2 }),
+                (1, spoke_to_spoke),
+            ],
+        };
+        let routed = Routed(&late);
+        let mut engine = TurnEngine::new(&routed, 3).unwrap().with_max_steps(2);
+        while engine.steps() < 2 {
+            let Step::Grant(g) = engine.poll().unwrap() else {
+                panic!("halted early")
+            };
+            engine.apply(g.speaker, BitVec::new(), None).unwrap();
+        }
+        assert_eq!(
+            engine.poll().unwrap_err(),
+            ProtocolViolation::LinkNotAllowed {
+                speaker: 1,
+                link: spoke_to_spoke,
+                topology: "star",
+            }
+        );
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Property tests for the routed engine: deterministic replay under the
-//! RNG parking discipline, and exact agreement between the native routed
-//! execution and the blackboard embedding, over random protocols whose
-//! link schedule depends on the randomness consumed so far.
+//! Property tests for routed protocols on the turn engine:
+//! deterministic replay under the RNG parking discipline, and exact
+//! agreement between the native routed execution and the blackboard
+//! embedding, over random protocols whose link schedule depends on the
+//! randomness consumed so far.
 
+use bci_blackboard::engine::{Step, TurnEngine};
 use bci_blackboard::PlayerId;
 use bci_encoding::bitio::BitVec;
 use bci_topology::{
-    run_routed, Embedded, Link, PlayerView, RoutedBoard, RoutedEngine, RoutedProtocol, RoutedStep,
-    Topology,
+    run_routed, Embedded, Link, PlayerView, Routed, RoutedBoard, RoutedProtocol, Topology,
 };
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
@@ -161,28 +162,29 @@ proptest! {
         let serial = run_routed(&proto, &inputs, &rng);
         let mut external = rng.clone();
 
-        let mut engine = RoutedEngine::with_rng(&proto, inputs.len(), &rng)
+        let routed = Routed(&proto);
+        let mut engine = TurnEngine::with_rng(&routed, inputs.len(), &rng)
             .expect("input count matches");
-        while let RoutedStep::Grant(grant) = engine.poll().expect("no violations") {
+        while let Step::Grant(grant) = engine.poll().expect("no violations") {
             // Re-polling must re-issue the same grant (idempotence).
             let again = match engine.poll().expect("no violations") {
-                RoutedStep::Grant(g) => g,
-                RoutedStep::Halted => panic!("halted while a grant is outstanding"),
+                Step::Grant(g) => g,
+                Step::Halted => panic!("halted while a grant is outstanding"),
             };
             prop_assert_eq!(again.speaker, grant.speaker);
-            prop_assert_eq!(again.link, grant.link);
+            prop_assert_eq!(again.route, grant.route);
             let mut lent = grant.resume_rng();
             let bits = proto.message(
                 grant.speaker,
                 &inputs[grant.speaker],
-                &engine.view(grant.speaker),
+                &engine.board().view(grant.speaker),
                 &mut lent,
             );
             // The continuous external RNG must produce the same bits.
             let direct = proto.message(
                 grant.speaker,
                 &inputs[grant.speaker],
-                &engine.view(grant.speaker),
+                &engine.board().view(grant.speaker),
                 &mut external,
             );
             prop_assert_eq!(&bits, &direct);
