@@ -7,5 +7,5 @@
 //! Accepts `--json <path>` for a machine-readable report.
 
 fn main() {
-    bci_bench::report::emit(&bci_bench::fabric_table::fabric());
+    bci_core::report::emit(&bci_bench::fabric_table::fabric());
 }

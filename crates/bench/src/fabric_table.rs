@@ -7,6 +7,7 @@
 
 use std::time::Duration;
 
+use bci_core::report::Report;
 use bci_core::table::{f, Table};
 use bci_fabric::driver::monte_carlo_fabric;
 use bci_fabric::scheduler::SchedulerConfig;
@@ -17,8 +18,6 @@ use bci_protocols::disj::disj_function;
 use bci_protocols::workload;
 use bci_telemetry::Json;
 use rand::RngCore;
-
-use crate::report::Report;
 
 const FABRIC_N: usize = 256;
 const FABRIC_K: usize = 4;

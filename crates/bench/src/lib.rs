@@ -1,22 +1,17 @@
-//! Benchmark harness for the broadcast-ic workspace.
+//! Table generators and benchmarks for the broadcast-ic workspace.
 //!
-//! * `src/bin/table_e*.rs` — one binary per experiment in `EXPERIMENTS.md`;
-//!   each is a thin registry lookup (`cargo run -p bci-bench --release
-//!   --bin table_e1_disj_upper`, etc.). `table_all` prints every table and
-//!   additionally accepts `--workers N` (run grid points on an `N`-wide
-//!   fabric job pool; output is byte-identical for every `N`) and
-//!   `--experiment <id>` (restrict to one experiment). Every binary accepts
-//!   `--json <path>` and writes a schema-stable JSON report next to the
-//!   text output (see [`report`]).
-//! * [`suite`] — the generic [`suite::report_for`] bridge from the
-//!   experiment registry in `bci-core` to [`report::Report`]; canonical
-//!   parameters live on the registry entries themselves.
+//! * `src/bin/table_all.rs` — prints every experiment table in
+//!   `EXPERIMENTS.md` order; `--experiment <id>` restricts it to one
+//!   registry id, `--workers N` runs grid points on an `N`-wide fabric job
+//!   pool (output is byte-identical for every `N`), and `--json <path>`
+//!   writes the schema-stable JSON report next to the text output (see
+//!   [`bci_core::report`]). `bci experiments run <id>` prints the same
+//!   bytes through the same runner.
+//! * [`suite`] — canonical-seed reports for the registry experiments,
+//!   through the one runner
+//!   [`run_report`](bci_core::experiments::registry::run_report).
 //! * [`fabric_table`] — the scheduler-scaling table behind `table_fabric`
 //!   (not a paper experiment, so it is not in the registry).
-//! * [`net_table`] — the TCP wire-overhead table behind `table_net`: wire
-//!   bytes vs transcript bits for loopback `bci-net` deployments, with
-//!   transcript digests checked against the in-process transport (also
-//!   not a paper experiment).
 //! * `benches/*.rs` — criterion micro/meso-benchmarks: protocol throughput,
 //!   exact information-cost computation, the sampling protocol, the
 //!   factorized-vs-brute-force and exact-vs-approximate-codec ablations, and
@@ -25,6 +20,4 @@
 #![warn(missing_docs)]
 
 pub mod fabric_table;
-pub mod net_table;
-pub mod report;
 pub mod suite;

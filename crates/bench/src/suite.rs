@@ -1,60 +1,21 @@
-//! Registry-driven [`Report`] generation.
+//! Canonical-seed [`Report`]s for the registry experiments.
 //!
 //! Every experiment lives in `bci-core`'s
 //! [`registry`](bci_core::experiments::registry): identity, notes,
-//! parameter metadata, sweep grid, and per-point computation. This module
-//! turns any registry entry into a [`Report`] with [`report_for`], running
-//! the sweep on a [`JobPool`] — one job per grid point, each under its own
-//! derived seed — so `table_all --workers N` produces byte-identical
-//! reports for every `N`. The `table_*` binaries are thin
-//! [`report_by_id`] lookups; there are no per-experiment constructors here.
+//! parameter metadata, sweep grid, and per-point computation, plus the one
+//! runner [`run_report`] that sweeps a grid on a job pool and assembles its
+//! [`Report`]. This module fixes the seed to each experiment's canonical
+//! one, so `table_all` and the goldens regenerate the `EXPERIMENTS.md`
+//! tables.
 
-use bci_core::experiments::registry::{find, registry, run_grid_pooled, Experiment, LabeledTable};
-use bci_fabric::pool::{JobPool, PoolConfig};
-use bci_telemetry::Recorder;
+use bci_core::experiments::registry::{find, registry, run_report, Experiment};
+use bci_core::report::Report;
 
-use crate::report::Report;
-
-/// Builds the report for one experiment, running its default grid on a
-/// `workers`-wide [`JobPool`].
-///
-/// Point `i` computes under `derive_trial_seed(exp.seed(), i)`; Monte-Carlo
-/// experiments exposing the registry's `TrialSplit` hook additionally split
-/// each point into fixed-size trial chunks so one heavy point spreads
-/// across workers. Either way results are assembled in point (and trial)
-/// order, so the report — text and JSON — is byte-identical for any worker
-/// count, including the serial `workers = 1`.
+/// Builds the report for one experiment under its canonical seed, running
+/// its default grid on a `workers`-wide job pool. The report — text and
+/// JSON — is byte-identical for any worker count (see [`run_report`]).
 pub fn report_for(exp: &dyn Experiment, workers: usize) -> Report {
-    let pool = JobPool::new(PoolConfig {
-        workers,
-        // Grid points (and trial chunks) are few and individually heavy;
-        // schedule one per queue entry so a slow point never strands cheap
-        // ones behind it.
-        batch_size: 1,
-        queue_capacity: 8,
-        metric_prefix: "experiments",
-        job_spans: true,
-        recorder: Recorder::disabled(),
-    });
-    let results = run_grid_pooled(exp, &pool, exp.seed());
-    let tables = exp.tables(&results);
-    report_from_tables(exp, &tables)
-}
-
-/// Assembles a [`Report`] from an experiment's identity plus already-built
-/// tables (shared by [`report_for`] and the `bci experiments` CLI path).
-pub fn report_from_tables(exp: &dyn Experiment, tables: &[LabeledTable]) -> Report {
-    let mut report = Report::new(exp.id(), exp.title());
-    for note in exp.notes() {
-        report = report.note(note);
-    }
-    for (key, value) in exp.meta() {
-        report = report.meta(key, value);
-    }
-    for (label, table) in tables {
-        report.push_table(label.clone(), table);
-    }
-    report
+    run_report(exp, workers, exp.seed())
 }
 
 /// Builds the report for a registry id (`"e7"`), or `None` if no experiment
@@ -81,7 +42,7 @@ pub fn all(workers: usize) -> Vec<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::SCHEMA;
+    use bci_core::report::SCHEMA;
 
     #[test]
     fn cheap_reports_have_stable_identity_and_tables() {

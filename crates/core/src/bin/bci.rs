@@ -51,7 +51,7 @@ fn main() -> ExitCode {
     };
     if cmd == "experiments" {
         // Takes positional subcommands (`list`, `run <id>`), so it parses
-        // its own argument tail instead of going through `parse_opts`.
+        // its own argument tail.
         return match cmd_experiments(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
@@ -77,7 +77,45 @@ fn main() -> ExitCode {
             }
         };
     }
-    let opts = match parse_opts(&args[1..]) {
+    // Each subcommand with the option keys it reads; `parse_opts` rejects
+    // any other key before the command does any work.
+    type Command = fn(&Opts, &Diag) -> Result<(), String>;
+    let (keys, run): (&str, Command) = match cmd.as_str() {
+        "disj" => ("n k workload density seed", |o, _| cmd_disj(o)),
+        "union" => ("n k density seed", |o, _| cmd_union(o)),
+        "cic" => ("k", |o, _| cmd_cic(o)),
+        "gap" => ("k", |o, _| cmd_gap(o)),
+        "sample" => ("universe sharpness trials seed", |o, _| cmd_sample(o)),
+        "sparse" => ("n s trials seed", |o, _| cmd_sparse(o)),
+        "amortize" => ("k copies trials seed", |o, _| cmd_amortize(o)),
+        "fabric" => (
+            "sessions workers seed n k density deadline-ms batch queue protocol transport \
+             fault fault-player fault-every slow-ms trace",
+            cmd_fabric,
+        ),
+        "trace" => ("engine sessions n k seed workers transport out", cmd_trace),
+        "serve" => (
+            "port players n sessions seed density deadline-ms roster-timeout-s protocol \
+             flight admin-linger-ms admin-port mux inflight max-frame-len miss-limit max-steps",
+            cmd_serve,
+        ),
+        "join" => ("addr player seed protocol", cmd_join),
+        "netrun" => ("points sessions seed json", cmd_netrun),
+        "load" => (
+            "sessions players n density seed inflight deadline-ms addr scrape-ms coordinator \
+             compare json no-verify max-frame-len miss-limit max-steps",
+            cmd_load,
+        ),
+        "help" | "--help" | "-h" => ("", |_, _| {
+            println!("{USAGE}");
+            Ok(())
+        }),
+        other => {
+            Diag::default().error(&format!("error: unknown command '{other}'\n\n{USAGE}"));
+            return ExitCode::FAILURE;
+        }
+    };
+    let opts = match parse_opts(&args[1..], keys) {
         Ok(o) => o,
         Err(e) => {
             Diag::default().error(&format!("error: {e}\n\n{USAGE}"));
@@ -91,27 +129,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match cmd.as_str() {
-        "disj" => cmd_disj(&opts),
-        "union" => cmd_union(&opts),
-        "cic" => cmd_cic(&opts),
-        "gap" => cmd_gap(&opts),
-        "sample" => cmd_sample(&opts),
-        "sparse" => cmd_sparse(&opts),
-        "amortize" => cmd_amortize(&opts),
-        "fabric" => cmd_fabric(&opts, &diag),
-        "trace" => cmd_trace(&opts, &diag),
-        "serve" => cmd_serve(&opts, &diag),
-        "join" => cmd_join(&opts, &diag),
-        "netrun" => cmd_netrun(&opts, &diag),
-        "load" => cmd_load(&opts, &diag),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'")),
-    };
-    match result {
+    match run(&opts, &diag) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             diag.error(&format!("error: {e}\n\n{USAGE}"));
@@ -159,7 +177,8 @@ REPORTS:
   bci fabric --trace PATH writes the run's telemetry event stream as JSON lines;
   bci trace dumps the event stream of one run to stdout (or --out PATH).
   bci netrun --json PATH writes a bci.bench.v1 wire-overhead report.
-  Every table_* bench binary accepts --json <path> for a machine-readable report.
+  bci experiments run <id> prints the same report as the bench binary
+  table_all --experiment <id>, whose --json PATH writes it as bci.bench.v1.
 
 NETWORK:
   bci serve binds a coordinator: it owns the blackboard, samples the inputs from
@@ -191,13 +210,25 @@ OBSERVABILITY:
 /// Option keys that are boolean flags: present means on, they take no value.
 const FLAGS: [&str; 5] = ["quiet", "verbose", "mux", "compare", "no-verify"];
 
-fn parse_opts(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Flags every subcommand accepts on top of its own keys.
+const GLOBAL_FLAGS: [&str; 2] = ["quiet", "verbose"];
+
+/// Parsed `--key value` options (flags map to `"true"`).
+type Opts = HashMap<String, String>;
+
+/// Parses `--key value` pairs and bare flags, rejecting any key that is
+/// neither in the space-separated `keys` nor a global flag, so a typo
+/// fails loudly instead of silently running with a default.
+fn parse_opts(args: &[String], keys: &str) -> Result<Opts, String> {
     let mut map = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let key = key
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --option, got '{key}'"))?;
+        if !keys.split_whitespace().any(|k| k == key) && !GLOBAL_FLAGS.contains(&key) {
+            return Err(format!("unknown option '--{key}'"));
+        }
         if FLAGS.contains(&key) {
             map.insert(key.to_owned(), "true".to_owned());
             continue;
@@ -225,7 +256,7 @@ struct Diag {
 }
 
 impl Diag {
-    fn from_opts(opts: &HashMap<String, String>) -> Result<Self, String> {
+    fn from_opts(opts: &Opts) -> Result<Self, String> {
         let quiet = opts.contains_key("quiet");
         let verbose = opts.contains_key("verbose");
         if quiet && verbose {
@@ -261,11 +292,7 @@ impl Diag {
     }
 }
 
-fn get<T: std::str::FromStr>(
-    opts: &HashMap<String, String>,
-    key: &str,
-    default: Option<T>,
-) -> Result<T, String> {
+fn get<T: std::str::FromStr>(opts: &Opts, key: &str, default: Option<T>) -> Result<T, String> {
     match opts.get(key) {
         Some(v) => v
             .parse()
@@ -274,7 +301,7 @@ fn get<T: std::str::FromStr>(
     }
 }
 
-fn rng_from(opts: &HashMap<String, String>) -> Result<rand_chacha::ChaCha8Rng, String> {
+fn rng_from(opts: &Opts) -> Result<rand_chacha::ChaCha8Rng, String> {
     Ok(rand_chacha::ChaCha8Rng::seed_from_u64(get(
         opts,
         "seed",
@@ -282,7 +309,7 @@ fn rng_from(opts: &HashMap<String, String>) -> Result<rand_chacha::ChaCha8Rng, S
     )?))
 }
 
-fn cmd_disj(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_disj(opts: &Opts) -> Result<(), String> {
     let n: usize = get(opts, "n", None)?;
     let k: usize = get(opts, "k", None)?;
     let density: f64 = get(opts, "density", Some(0.5))?;
@@ -329,7 +356,7 @@ fn cmd_disj(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_union(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_union(opts: &Opts) -> Result<(), String> {
     let n: usize = get(opts, "n", None)?;
     let k: usize = get(opts, "k", None)?;
     let density: f64 = get(opts, "density", Some(0.5))?;
@@ -354,7 +381,7 @@ fn cmd_union(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_cic(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_cic(opts: &Opts) -> Result<(), String> {
     let k: usize = get(opts, "k", None)?;
     if k < 2 {
         return Err("--k must be at least 2".into());
@@ -369,7 +396,7 @@ fn cmd_cic(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_gap(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_gap(opts: &Opts) -> Result<(), String> {
     let k: usize = get(opts, "k", None)?;
     let rep = and_gap(k, 0.05, 0.1);
     println!("AND_{k}: information vs communication (eps=0.05, eps'=0.1)");
@@ -383,7 +410,7 @@ fn cmd_gap(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sample(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_sample(opts: &Opts) -> Result<(), String> {
     let u: usize = get(opts, "universe", None)?;
     let sharp: f64 = get(opts, "sharpness", None)?;
     let trials: u64 = get(opts, "trials", Some(200u64))?;
@@ -413,7 +440,7 @@ fn cmd_sample(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sparse(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_sparse(opts: &Opts) -> Result<(), String> {
     let n: usize = get(opts, "n", None)?;
     let s: usize = get(opts, "s", None)?;
     let trials: u64 = get(opts, "trials", Some(20u64))?;
@@ -450,7 +477,7 @@ fn cmd_sparse(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_amortize(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_amortize(opts: &Opts) -> Result<(), String> {
     let k: usize = get(opts, "k", None)?;
     let copies: usize = get(opts, "copies", None)?;
     let trials: usize = get(opts, "trials", Some(10usize))?;
@@ -471,7 +498,7 @@ fn cmd_amortize(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
+fn cmd_fabric(opts: &Opts, diag: &Diag) -> Result<(), String> {
     use std::time::Duration;
 
     let sessions: u64 = get(opts, "sessions", Some(1024u64))?;
@@ -587,7 +614,7 @@ fn cmd_fabric(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String>
 
 /// `bci trace` — run one workload with event recording on and dump the
 /// JSON-lines event stream to stdout (or `--out PATH`).
-fn cmd_trace(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
+fn cmd_trace(opts: &Opts, diag: &Diag) -> Result<(), String> {
     use std::time::Duration;
 
     let engine = opts.get("engine").map_or("fabric", String::as_str);
@@ -658,7 +685,7 @@ fn cmd_trace(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
 /// Builds a [`bci_net::NetConfig`] from the shared `--max-frame-len` /
 /// `--miss-limit` / `--max-steps` overrides and rejects unusable values
 /// via [`bci_net::NetConfig::validate`].
-fn net_config_from(opts: &HashMap<String, String>) -> Result<bci_net::NetConfig, String> {
+fn net_config_from(opts: &Opts) -> Result<bci_net::NetConfig, String> {
     let mut config = bci_net::NetConfig::default();
     if let Some(v) = opts.get("max-frame-len") {
         config.max_frame_len = v
@@ -688,7 +715,7 @@ fn net_config_from(opts: &HashMap<String, String>) -> Result<bci_net::NetConfig,
 /// `--mux` swaps in the multiplexed daemon from `bci-mux`: one reactor
 /// thread, the same `k` connections, up to `--inflight` sessions parked
 /// and resumed concurrently (v2 session-id frames).
-fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
+fn cmd_serve(opts: &Opts, diag: &Diag) -> Result<(), String> {
     use bci_blackboard::runner::derive_trial_seed;
     use bci_fabric::transport::SessionContext;
     use bci_net::coordinator::{accept_roster, run_coordinator_session, SessionInfo};
@@ -913,7 +940,7 @@ fn cmd_serve(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> 
 /// `bci serve`. The protocol parameters (universe size, roster size)
 /// arrive in the handshake ack, so the client needs only the address and
 /// its player index.
-fn cmd_join(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
+fn cmd_join(opts: &Opts, diag: &Diag) -> Result<(), String> {
     use bci_net::client::{connect_player, run_player, PlayerBehavior};
     use bci_net::NetConfig;
     use std::net::ToSocketAddrs;
@@ -955,7 +982,7 @@ fn cmd_join(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
 /// percentiles, wire accounting, and an end-to-end transcript check
 /// against the in-process transport. Exits nonzero if any session fails
 /// or any transcript diverges, so CI can gate on it directly.
-fn cmd_load(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
+fn cmd_load(opts: &Opts, diag: &Diag) -> Result<(), String> {
     use bci_mux::load::{bench_document, run_load, run_load_thread_baseline, LoadSpec};
     use bci_mux::LoadReport;
     use std::net::ToSocketAddrs;
@@ -1171,7 +1198,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
             "top needs an address: bci top <host:port> [--interval-ms MS] [--iters K]".into(),
         );
     };
-    let opts = parse_opts(&args[1..])?;
+    let opts = parse_opts(&args[1..], "interval-ms iters")?;
     let interval_ms: u64 = get(&opts, "interval-ms", Some(1000u64))?;
     let iters: u64 = get(&opts, "iters", Some(0u64))?;
     if interval_ms == 0 {
@@ -1281,11 +1308,15 @@ fn parse_points(spec: &str) -> Result<Vec<(usize, usize)>, String> {
 /// `bci netrun` — run coordinator + players over loopback TCP in one
 /// process for a sweep of `(n, k)` points, measure wire bytes against
 /// transcript bits, and verify every TCP transcript digest against the
-/// in-process transport. `--json PATH` writes a `bci.bench.v1` report.
-fn cmd_netrun(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String> {
+/// in-process transport. Prints the sweep as a [`Report`]; `--json PATH`
+/// also writes it as a `bci.bench.v1` document.
+///
+/// [`Report`]: bci_core::report::Report
+fn cmd_netrun(opts: &Opts, diag: &Diag) -> Result<(), String> {
+    use bci_core::report::{emit_to, Report};
     use bci_net::overhead::overhead_sweep;
     use bci_net::NetConfig;
-    use bci_telemetry::{obj, Json};
+    use bci_telemetry::Json;
 
     let sessions: usize = get(opts, "sessions", Some(3usize))?;
     let seed: u64 = get(opts, "seed", Some(1u64))?;
@@ -1336,54 +1367,20 @@ fn cmd_netrun(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String>
             .to_owned(),
         ]);
     }
-    println!("netrun — TCP wire overhead vs in-process transcripts (seed {seed})\n");
-    println!("{}", t.render());
-
+    let report = Report::new(
+        "netrun",
+        "netrun — TCP wire overhead vs in-process transcripts",
+    )
+    .note(
+        "(each session runs twice from the same seed: loopback TCP and in-process; \
+         digest column compares the transcripts byte for byte)",
+    )
+    .meta("seed", Json::UInt(seed))
+    .meta("sessions", Json::UInt(sessions as u64))
+    .meta("points", Json::str(points_spec))
+    .with_table("", &t);
+    emit_to(&report, json_path.as_deref());
     if let Some(path) = json_path {
-        let tables = Json::Arr(vec![obj([
-            ("label", Json::str("")),
-            (
-                "columns",
-                Json::Arr(t.headers().iter().map(Json::str).collect()),
-            ),
-            (
-                "rows",
-                Json::Arr(
-                    t.rows()
-                        .iter()
-                        .map(|row| Json::Arr(row.iter().map(|cell| Json::cell(cell)).collect()))
-                        .collect(),
-                ),
-            ),
-        ])]);
-        let doc = obj([
-            ("schema", Json::str("bci.bench.v1")),
-            ("experiment", Json::str("netrun")),
-            (
-                "title",
-                Json::str("netrun — TCP wire overhead vs in-process transcripts"),
-            ),
-            (
-                "notes",
-                Json::Arr(vec![Json::str(
-                    "(each session runs twice from the same seed: loopback TCP and in-process; \
-                     digest column compares the transcripts byte for byte)",
-                )]),
-            ),
-            (
-                "meta",
-                Json::Obj(vec![
-                    ("seed".to_owned(), Json::UInt(seed)),
-                    ("sessions".to_owned(), Json::UInt(sessions as u64)),
-                    ("points".to_owned(), Json::str(points_spec)),
-                ]),
-            ),
-            ("tables", tables),
-        ]);
-        let mut text = doc.to_string();
-        text.push('\n');
-        std::fs::write(&path, text)
-            .map_err(|e| format!("cannot write JSON report to '{path}': {e}"))?;
         diag.info(&format!("wrote JSON report to {path}"));
     }
 
@@ -1397,19 +1394,15 @@ fn cmd_netrun(opts: &HashMap<String, String>, diag: &Diag) -> Result<(), String>
 }
 
 /// `bci experiments list | run <id>` — front end to the experiment
-/// registry. `run` executes the sweep on a fabric [`JobPool`]
-/// (`--workers`, default 1) and prints the same text the `table_*` bench
-/// binaries emit; `--seed` overrides the experiment's canonical master
-/// seed; `--topology` restricts a cross-model experiment (see the
-/// `model` column of `experiments list`) to one communication model's
-/// columns.
+/// registry. `run` builds the report through [`run_report`] (`--workers`,
+/// default 1) and prints the same text `table_all --experiment <id>`
+/// emits; `--seed` overrides the experiment's canonical master seed;
+/// `--topology` restricts a cross-model experiment (see the `model`
+/// column of `experiments list`) to one communication model's columns.
 ///
-/// [`JobPool`]: bci_fabric::pool::JobPool
+/// [`run_report`]: bci_core::experiments::registry::run_report
 fn cmd_experiments(args: &[String]) -> Result<(), String> {
-    use bci_core::experiments::registry::{
-        find, registry, render_report, run_grid_pooled, Experiment,
-    };
-    use bci_fabric::pool::{JobPool, PoolConfig};
+    use bci_core::experiments::registry::{find, registry, run_report, Experiment};
     use bci_telemetry::Json;
 
     /// The experiment's communication model(s), from its `model` meta
@@ -1462,7 +1455,7 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
                         .join(", ")
                 )
             })?;
-            let opts = parse_opts(&args[2..])?;
+            let opts = parse_opts(&args[2..], "workers seed topology")?;
             let restricted: Box<dyn Experiment>;
             let exp: &dyn Experiment = match opts.get("topology") {
                 None => exp,
@@ -1486,16 +1479,7 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
                 return Err("--workers must be positive".into());
             }
             let seed: u64 = get(&opts, "seed", Some(exp.seed()))?;
-            let pool = JobPool::new(PoolConfig {
-                workers,
-                batch_size: 1,
-                queue_capacity: 8,
-                metric_prefix: "experiments",
-                job_spans: true,
-                recorder: Recorder::disabled(),
-            });
-            let results = run_grid_pooled(exp, &pool, seed);
-            print!("{}", render_report(exp, &exp.tables(&results)));
+            print!("{}", run_report(exp, workers, seed).render_text());
             Ok(())
         }
         other => Err(format!(

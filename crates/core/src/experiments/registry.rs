@@ -17,17 +17,19 @@
 //! randomness depends on how many points ran before it. Deterministic
 //! experiments simply ignore the seed.
 //!
-//! Consumers: `bci-bench`'s `report_for` builds one machine-readable
-//! report per experiment from this interface, and the `bci experiments`
-//! CLI lists and runs registry entries directly.
+//! Consumers: [`run_report`] is the one runner — it sweeps a grid on a
+//! `JobPool` and assembles the [`Report`] that both `bci experiments run`
+//! and `table_all` print — and the `bci experiments` CLI lists registry
+//! entries directly.
 
 use std::any::Any;
 use std::ops::Range;
 
 use bci_blackboard::runner::derive_trial_seed;
-use bci_fabric::pool::JobPool;
-use bci_telemetry::Json;
+use bci_fabric::pool::{JobPool, PoolConfig};
+use bci_telemetry::{Json, Recorder};
 
+use crate::report::Report;
 use crate::table::Table;
 
 use super::*;
@@ -223,14 +225,11 @@ pub fn run_grid(exp: &dyn Experiment) -> Vec<LabeledTable> {
 /// Runs an experiment's full default grid on a fabric [`JobPool`] and
 /// returns the per-point results in point order.
 ///
-/// Indivisible points run one job each (exactly what
-/// [`report_for`]-style executors did before); experiments exposing a
+/// Indivisible points run one job each; experiments exposing a
 /// [`TrialSplit`] hook additionally split every point into
 /// [`chunk`](TrialSplit::chunk)-trial sub-jobs, so the suite's largest
 /// single point no longer bounds the achievable speedup. Either way the assembled results
 /// are byte-identical to the serial [`run_grid`] for any worker count.
-///
-/// [`report_for`]: ../../../bci_bench/suite/fn.report_for.html
 pub fn run_grid_pooled(exp: &dyn Experiment, pool: &JobPool, master_seed: u64) -> Vec<PointResult> {
     let grid = exp.grid();
     match exp.splitter() {
@@ -259,25 +258,42 @@ pub fn run_grid_pooled(exp: &dyn Experiment, pool: &JobPool, master_seed: u64) -
     }
 }
 
-/// Renders an experiment's header (title + notes) and every table from
-/// [`run_grid`]-shaped output as plain text.
-pub fn render_report(exp: &dyn Experiment, tables: &[LabeledTable]) -> String {
-    let mut out = String::new();
-    out.push_str(exp.title());
-    out.push('\n');
-    for note in exp.notes() {
-        out.push_str(&note);
-        out.push('\n');
+/// Builds the report for `exp`: runs its default grid under master `seed`
+/// on a `workers`-wide [`JobPool`] and assembles the title, notes, meta and
+/// tables. The one experiment runner — `bci experiments run` and
+/// `table_all` both call it.
+///
+/// Point `i` computes under `point_seed(seed, i)`, and [`TrialSplit`]
+/// experiments split each point into fixed-size trial chunks, so the
+/// report — text and JSON — is byte-identical for any worker count,
+/// including the serial `workers = 1`.
+pub fn run_report(exp: &dyn Experiment, workers: usize, seed: u64) -> Report {
+    let pool = JobPool::new(PoolConfig {
+        workers,
+        // Grid points (and trial chunks) are few and individually heavy;
+        // schedule one per queue entry so a slow point never strands cheap
+        // ones behind it.
+        batch_size: 1,
+        queue_capacity: 8,
+        metric_prefix: "experiments",
+        job_spans: true,
+        recorder: Recorder::disabled(),
+    });
+    let results = run_grid_pooled(exp, &pool, seed);
+    assemble(exp, &exp.tables(&results))
+}
+
+/// An experiment's identity plus its rendered tables as a [`Report`].
+fn assemble(exp: &dyn Experiment, tables: &[LabeledTable]) -> Report {
+    let mut report = Report::new(exp.id(), exp.title());
+    report.notes = exp.notes();
+    for (key, value) in exp.meta() {
+        report = report.meta(key, value);
     }
     for (label, table) in tables {
-        out.push('\n');
-        if !label.is_empty() {
-            out.push_str(label);
-            out.push('\n');
-        }
-        out.push_str(&table.render());
+        report.push_table(label.clone(), table);
     }
-    out
+    report
 }
 
 /// Every experiment, in `EXPERIMENTS.md` order.
@@ -346,22 +362,15 @@ mod tests {
 
     #[test]
     fn pooled_grid_matches_serial_including_trial_splits() {
-        use bci_fabric::pool::PoolConfig;
         // e12, e4, and e6 expose the TrialSplit hook (points fan out into
         // chunk()-trial sub-jobs — e4 and e6 override the default chunk);
         // e16 does not (one job per point). All must render byte-identically
         // to the serial reference for any worker count.
         for id in ["e12", "e4", "e6", "e16"] {
             let exp = find(id).expect("registered");
-            let serial = render_report(exp, &run_grid(exp));
+            let serial = assemble(exp, &run_grid(exp)).render_text();
             for workers in [1usize, 3] {
-                let pool = JobPool::new(PoolConfig {
-                    workers,
-                    batch_size: 1,
-                    ..PoolConfig::default()
-                });
-                let results = run_grid_pooled(exp, &pool, exp.seed());
-                let pooled = render_report(exp, &exp.tables(&results));
+                let pooled = run_report(exp, workers, exp.seed()).render_text();
                 assert_eq!(serial, pooled, "{id} with {workers} workers");
             }
         }

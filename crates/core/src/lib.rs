@@ -5,10 +5,14 @@
 //! This crate ties the workspace together:
 //!
 //! * re-exports of the sub-crates under stable names;
-//! * [`table`] — plain-text table rendering used by every experiment binary;
+//! * [`table`] — plain-text table rendering used by every report;
+//! * [`report`] — the one [`report::Report`] type every experiment, the
+//!   `bci netrun` sweep and the bench tables render through, as text and
+//!   as schema-stable JSON;
 //! * [`experiments`] — one driver per result in the paper, each producing
-//!   structured rows *and* a rendered table. The `bci-bench` binaries and
-//!   the integration tests both call these drivers, so the numbers in
+//!   structured rows *and* a rendered table. The one runner,
+//!   [`experiments::registry::run_report`], backs both `bci experiments
+//!   run <id>` and `table_all --experiment <id>`, so the numbers in
 //!   `EXPERIMENTS.md` are regenerable with one command per table.
 //!
 //! # Quickstart
@@ -26,6 +30,7 @@
 //! ```
 
 pub mod experiments;
+pub mod report;
 pub mod table;
 
 pub use bci_blackboard as blackboard;

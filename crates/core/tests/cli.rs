@@ -285,4 +285,36 @@ fn bad_invocations_fail_with_usage() {
         let stderr = String::from_utf8(out.stderr).expect("utf8");
         assert!(stderr.contains("USAGE"), "{args:?}: {stderr}");
     }
+    // A key the subcommand does not read fails before any work, naming
+    // the key, instead of silently running with the defaults.
+    let dir = std::env::temp_dir().join(format!("bci-unknown-opt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let json = dir.join("out.json");
+    let json_path = json.to_str().expect("utf8 path");
+    for (args, key) in [
+        (
+            vec!["experiments", "run", "e2", "--json", json_path],
+            "--json",
+        ),
+        (vec!["fabric", "--sessions", "4", "--bogus", "3"], "--bogus"),
+        (vec!["disj", "--n", "64", "--k", "4", "--nn", "5"], "--nn"),
+        (
+            vec!["disj", "--n", "64", "--k", "4", "--seeed", "5"],
+            "--seeed",
+        ),
+        (vec!["cic", "--k", "4", "--mux"], "--mux"),
+        (vec!["top", "127.0.0.1:1", "--bogus", "1"], "--bogus"),
+    ] {
+        let out = bci(&args);
+        assert!(!out.status.success(), "{args:?} should fail");
+        assert!(out.stdout.is_empty(), "{args:?} did work");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(
+            stderr.contains(&format!("unknown option '{key}'")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("USAGE"), "{args:?}: {stderr}");
+    }
+    assert!(!json.exists(), "rejected run wrote {json_path}");
+    std::fs::remove_dir_all(&dir).ok();
 }
