@@ -96,19 +96,7 @@ impl Board {
         for m in &self.messages {
             out.extend_from_slice(&(m.speaker as u32).to_le_bytes());
             out.extend_from_slice(&(m.bits.len() as u32).to_le_bytes());
-            let mut byte = 0u8;
-            for (i, bit) in m.bits.iter().enumerate() {
-                if bit {
-                    byte |= 1 << (i % 8);
-                }
-                if i % 8 == 7 {
-                    out.push(byte);
-                    byte = 0;
-                }
-            }
-            if m.bits.len() % 8 != 0 {
-                out.push(byte);
-            }
+            m.bits.write_packed(&mut out);
         }
         out
     }
@@ -118,7 +106,8 @@ impl Board {
     /// # Errors
     ///
     /// Returns [`ParseBoardError`] on truncated or malformed input
-    /// (including trailing bytes).
+    /// (including trailing bytes, and set padding bits past a message's
+    /// bit length, so only the canonical bytes of a board parse).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ParseBoardError> {
         fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, ParseBoardError> {
             let end = pos.checked_add(4).ok_or(ParseBoardError)?;
@@ -135,10 +124,7 @@ impl Board {
             let byte_len = bit_len.div_ceil(8);
             let payload = bytes.get(pos..pos + byte_len).ok_or(ParseBoardError)?;
             pos += byte_len;
-            let mut bits = BitVec::with_capacity(bit_len);
-            for i in 0..bit_len {
-                bits.push(payload[i / 8] >> (i % 8) & 1 == 1);
-            }
+            let bits = BitVec::from_packed(payload, bit_len).ok_or(ParseBoardError)?;
             board.write(speaker, bits);
         }
         if pos != bytes.len() {
@@ -284,6 +270,20 @@ mod tests {
         assert_eq!(Board::from_bytes(&bytes), Err(ParseBoardError));
         // Error type displays.
         assert!(ParseBoardError.to_string().contains("malformed"));
+    }
+
+    #[test]
+    fn nonzero_padding_bits_are_rejected() {
+        let mut b = Board::new();
+        b.write(1, BitVec::from_bools(&[true, false, true]));
+        let honest = b.to_bytes();
+        assert_eq!(*honest.last().unwrap(), 0x05);
+        let mut forged = honest.clone();
+        *forged.last_mut().unwrap() = 0xFF;
+        assert_eq!(Board::from_bytes(&forged), Err(ParseBoardError));
+        *forged.last_mut().unwrap() = 0x0D; // bit 3 is past the length
+        assert_eq!(Board::from_bytes(&forged), Err(ParseBoardError));
+        assert_eq!(Board::from_bytes(&honest), Ok(b));
     }
 
     #[test]

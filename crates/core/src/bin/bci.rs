@@ -13,7 +13,7 @@
 //! bci serve  --port 7701 --players 4 [--protocol disj] [--n 256] [--sessions 1] [--seed 1] [--mux]
 //! bci join   --addr 127.0.0.1:7701 --player 0 [--protocol disj]
 //! bci netrun [--points 64x4,256x4,256x8] [--sessions 3] [--seed 1] [--json report.json]
-//! bci load   --sessions 10000 --players 3 [--inflight 1024] [--compare] [--json BENCH_net.json]
+//! bci load   --sessions 10000 --players 3 [--inflight 1024] [--compare] [--json load.json]
 //! bci stat   127.0.0.1:7701 [--json|--prom|--events]
 //! bci top    127.0.0.1:7701 [--interval-ms 1000] [--iters 10]
 //! bci experiments list

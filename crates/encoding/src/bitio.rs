@@ -94,6 +94,50 @@ impl BitVec {
     pub fn iter(&self) -> Iter<'_> {
         Iter { v: self, i: 0 }
     }
+
+    /// Appends the bits packed LSB-first into `⌈len/8⌉` bytes: bit `i`
+    /// lands in byte `i / 8` at position `i % 8`, and the unused high
+    /// bits of a partial last byte are zero. This is the payload layout
+    /// of both the [`Wire`](crate::wire::Wire) codec and blackboard
+    /// transcripts. Works a backing word at a time.
+    pub fn write_packed(&self, out: &mut Vec<u8>) {
+        let full = self.len / 64;
+        out.reserve(self.len.div_ceil(8));
+        for w in &self.words[..full] {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        let tail = (self.len % 64).div_ceil(8);
+        if tail > 0 {
+            // Bits past `len` are never set, so the tail bytes are
+            // already zero-padded.
+            out.extend_from_slice(&self.words[full].to_le_bytes()[..tail]);
+        }
+    }
+
+    /// Inverse of [`write_packed`](Self::write_packed): rebuilds `len`
+    /// bits from exactly `⌈len/8⌉` LSB-first bytes. Returns `None` if
+    /// `bytes` has any other length or a padding bit past `len` is set,
+    /// so every accepted byte string is the canonical encoding of its
+    /// value.
+    pub fn from_packed(bytes: &[u8], len: usize) -> Option<BitVec> {
+        if bytes.len() != len.div_ceil(8) {
+            return None;
+        }
+        let used = len % 8;
+        if used > 0 && bytes[bytes.len() - 1] >> used != 0 {
+            return None;
+        }
+        let chunks = bytes.chunks_exact(8);
+        let rest = chunks.remainder();
+        let mut words: Vec<u64> = Vec::with_capacity(len.div_ceil(64));
+        words.extend(chunks.map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))));
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            words.push(u64::from_le_bytes(last));
+        }
+        Some(BitVec { words, len })
+    }
 }
 
 impl fmt::Debug for BitVec {

@@ -80,6 +80,25 @@ pub trait Wire: Sized {
             Err(WireError::TrailingBytes)
         }
     }
+
+    /// Appends the encodings of `items` back to back: the element part of
+    /// a `Vec<Self>` encoding. Types whose encoding is their raw bytes
+    /// override it with one bulk copy.
+    fn encode_seq(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// Decodes `len` values written by [`encode_seq`](Self::encode_seq).
+    /// The caller has already checked `len` against the bytes remaining.
+    fn decode_seq(input: &mut &[u8], len: usize) -> Result<Vec<Self>, WireError> {
+        let mut out = Vec::with_capacity(len.min(input.len().max(1)));
+        for _ in 0..len {
+            out.push(Self::decode(input)?);
+        }
+        Ok(out)
+    }
 }
 
 fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
@@ -128,7 +147,27 @@ macro_rules! wire_int {
     )*};
 }
 
-wire_int!(u8, u16, u32, u64, i64);
+wire_int!(u16, u32, u64, i64);
+
+impl Wire for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(take(input, 1)?[0])
+    }
+
+    /// A byte string is its own encoding: one copy, not one push per
+    /// byte.
+    fn encode_seq(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+
+    fn decode_seq(input: &mut &[u8], len: usize) -> Result<Vec<u8>, WireError> {
+        Ok(take(input, len)?.to_vec())
+    }
+}
 
 impl Wire for usize {
     /// Encoded as `u64` so 32- and 64-bit peers interoperate.
@@ -173,9 +212,7 @@ impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         let len = u32::try_from(self.len()).expect("vec fits a frame");
         len.encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_seq(self, out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -186,45 +223,26 @@ impl<T: Wire> Wire for Vec<T> {
         if std::mem::size_of::<T>() > 0 && len > input.len() {
             return Err(WireError::Truncated);
         }
-        let mut out = Vec::with_capacity(len.min(input.len().max(1)));
-        for _ in 0..len {
-            out.push(T::decode(input)?);
-        }
-        Ok(out)
+        T::decode_seq(input, len)
     }
 }
 
 impl Wire for BitVec {
-    /// `u32` bit length, then the bits packed LSB-first into bytes — the
-    /// same layout
+    /// `u32` bit length, then the bits packed LSB-first into bytes
+    /// ([`BitVec::write_packed`]) — the same layout
     /// [`Board::to_bytes`](../../bci_blackboard/board/struct.Board.html)
-    /// uses for message payloads.
+    /// uses for message payloads. Padding bits in a partial last byte
+    /// must be zero.
     fn encode(&self, out: &mut Vec<u8>) {
         let len = u32::try_from(self.len()).expect("bitvec fits a frame");
         len.encode(out);
-        let mut byte = 0u8;
-        for (i, bit) in self.iter().enumerate() {
-            if bit {
-                byte |= 1 << (i % 8);
-            }
-            if i % 8 == 7 {
-                out.push(byte);
-                byte = 0;
-            }
-        }
-        if !self.len().is_multiple_of(8) {
-            out.push(byte);
-        }
+        self.write_packed(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         let len = u32::decode(input)? as usize;
         let bytes = take(input, len.div_ceil(8))?;
-        let mut bits = BitVec::with_capacity(len);
-        for i in 0..len {
-            bits.push(bytes[i / 8] & (1 << (i % 8)) != 0);
-        }
-        Ok(bits)
+        BitVec::from_packed(bytes, len).ok_or(WireError::Invalid("bitvec padding"))
     }
 }
 
@@ -339,6 +357,34 @@ mod tests {
         // A bitset claiming a huge capacity with no words behind it.
         let bytes = (u64::MAX / 2).to_wire_bytes();
         assert_eq!(BitSet::from_wire_bytes(&bytes), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn byte_vecs_decode_in_bulk_and_keep_the_length_guard() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        round_trip(bytes.clone());
+        let mut wire = 256u32.to_wire_bytes();
+        wire.extend_from_slice(&bytes);
+        assert_eq!(bytes.to_wire_bytes(), wire, "count, then the raw bytes");
+        wire.pop();
+        assert_eq!(Vec::<u8>::from_wire_bytes(&wire), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn bitvec_padding_bits_must_be_zero() {
+        // Three bits [1,1,1] in one byte: only 0x07 is canonical.
+        assert_eq!(
+            BitVec::from_wire_bytes(&[3, 0, 0, 0, 0x07]),
+            Ok(BitVec::from_bools(&[true; 3]))
+        );
+        assert_eq!(
+            BitVec::from_wire_bytes(&[3, 0, 0, 0, 0xFF]),
+            Err(WireError::Invalid("bitvec padding"))
+        );
+        assert_eq!(
+            BitVec::from_wire_bytes(&[3, 0, 0, 0, 0x0F]),
+            Err(WireError::Invalid("bitvec padding"))
+        );
     }
 
     #[test]

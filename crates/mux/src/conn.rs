@@ -76,13 +76,27 @@ impl MuxConn {
         self.out.len() - self.out_cursor
     }
 
-    /// Queues one frame for `session`. Never touches the socket — call
-    /// [`MuxConn::flush`] to make wire progress.
+    /// Queues one frame for `session`, encoding it straight into the
+    /// write buffer. Never touches the socket — call [`MuxConn::flush`]
+    /// to make wire progress.
     pub fn queue(&mut self, session: u64, frame: &Frame) {
-        let bytes = frame.to_bytes_mux(session);
-        self.payload_bytes_written += bytes.len() as u64 - V2_HEADER_BYTES;
+        let start = self.out.len();
+        frame.encode_into(Some(session), &mut self.out);
+        self.count_queued(self.out.len() - start);
+    }
+
+    /// Queues one frame already encoded as a v2 frame by
+    /// [`Frame::encode_into`] with a session id: the fan-out path, which
+    /// encodes a broadcast once and appends the same bytes to every
+    /// connection. Accounts exactly as [`MuxConn::queue`] does.
+    pub fn queue_encoded(&mut self, bytes: &[u8]) {
+        self.out.extend_from_slice(bytes);
+        self.count_queued(bytes.len());
+    }
+
+    fn count_queued(&mut self, frame_len: usize) {
+        self.payload_bytes_written += frame_len as u64 - V2_HEADER_BYTES;
         self.frames_written += 1;
-        self.out.extend_from_slice(&bytes);
     }
 
     /// Writes as much of the queued bytes as the socket will take right
@@ -166,7 +180,8 @@ impl MuxConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bci_net::frame::MAX_FRAME_LEN;
+    use bci_encoding::bitio::BitVec;
+    use bci_net::frame::{BroadcastFrame, MAX_FRAME_LEN};
     use std::net::TcpListener;
 
     #[test]
@@ -208,5 +223,56 @@ mod tests {
             server.bytes_read(),
             server.payload_bytes_read() + V2_HEADER_BYTES * server.frames_read()
         );
+    }
+
+    #[test]
+    fn fanned_out_frame_is_accounted_per_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = NetConfig::default();
+        let mut pairs = Vec::new();
+        for _ in 0..2 {
+            let client = TcpStream::connect(addr).unwrap();
+            let (server, _) = listener.accept().unwrap();
+            pairs.push((
+                MuxConn::new(server, MAX_FRAME_LEN).unwrap(),
+                MuxConn::new(client, MAX_FRAME_LEN).unwrap(),
+            ));
+        }
+
+        // Encode once, append the same bytes to both connections.
+        let frame = Frame::Broadcast(BroadcastFrame {
+            turn: 3,
+            speaker: 1,
+            bits: BitVec::from_bools(&[true, false, true, true, false]),
+            next: 0,
+            rng: (0..41).collect(),
+        });
+        let mut encoded = Vec::new();
+        frame.encode_into(Some(9), &mut encoded);
+        for (sender, _) in &mut pairs {
+            sender.queue_encoded(&encoded);
+            assert!(sender.flush().unwrap(), "loopback drains instantly");
+        }
+
+        let deadline = Instant::now() + config.io_timeout;
+        for (sender, receiver) in &mut pairs {
+            assert_eq!(
+                receiver.recv_deadline(deadline, &config).unwrap(),
+                (9, frame.clone())
+            );
+            assert_eq!(sender.frames_written, 1);
+            assert_eq!(sender.bytes_written, encoded.len() as u64);
+            assert_eq!(
+                sender.bytes_written,
+                sender.payload_bytes_written + V2_HEADER_BYTES * sender.frames_written
+            );
+            assert_eq!(receiver.bytes_read(), sender.bytes_written);
+            assert_eq!(
+                receiver.payload_bytes_read(),
+                sender.payload_bytes_written,
+                "both ends agree on the payload bytes"
+            );
+        }
     }
 }

@@ -305,6 +305,8 @@ struct Reactor<'a, P: Protocol> {
     opts: &'a MuxOptions,
     recorder: &'a Recorder,
     last_flight_dump: Option<Instant>,
+    /// Reused encode buffer for [`Reactor::broadcast`].
+    fanout: Vec<u8>,
 }
 
 impl<'a, P> Reactor<'a, P>
@@ -406,9 +408,7 @@ where
                 rng: rng_bytes,
             })
         };
-        for conn in &mut self.conns {
-            conn.queue(session, &frame);
-        }
+        self.broadcast(session, &frame);
         if next.is_none() {
             let output = {
                 let slot = &self.table[&session];
@@ -418,6 +418,17 @@ where
                 Ok(o) => self.finish(session, 0, String::new(), o.to_wire_bytes()),
                 Err(_) => self.finish(session, 2, "protocol output panicked".into(), Vec::new()),
             }
+        }
+    }
+
+    /// Queues `frame` for `session` on every player connection. The
+    /// frame is encoded once and the same bytes are appended to each
+    /// connection's write buffer.
+    fn broadcast(&mut self, session: u64, frame: &Frame) {
+        self.fanout.clear();
+        frame.encode_into(Some(session), &mut self.fanout);
+        for conn in &mut self.conns {
+            conn.queue_encoded(&self.fanout);
         }
     }
 
@@ -487,9 +498,7 @@ where
             output: output.clone(),
             remaining,
         });
-        for conn in &mut self.conns {
-            conn.queue(session, &frame);
-        }
+        self.broadcast(session, &frame);
         let counter = match kind {
             0 => "mux.sessions_completed",
             1 => "mux.sessions_timed_out",
@@ -610,11 +619,13 @@ where
                             }
                         }
                         Frame::Stats { what } if peers[i].greeted => {
+                            // Counted before the snapshot, so every reply
+                            // includes itself: the first scrape reads 1.
+                            self.recorder.counter_add("mux.stats_served", 1);
                             self.set_gauges();
                             let reply =
                                 Frame::StatsReply(Box::new(stats_reply(self.recorder, what)));
                             peers[i].conn.queue(CONTROL_SESSION, &reply);
-                            self.recorder.counter_add("mux.stats_served", 1);
                         }
                         Frame::Heartbeat { .. } => {}
                         other => {
@@ -747,6 +758,7 @@ where
         opts,
         recorder,
         last_flight_dump: None,
+        fanout: Vec::new(),
     };
     if let Some(listener) = admin_listener {
         // The roster phase left it nonblocking; make sure regardless.

@@ -29,6 +29,8 @@ pub const V1_HEADER_BYTES: u64 = 5;
 pub struct Conn {
     stream: TcpStream,
     reader: FrameReader,
+    /// Reused encode buffer: [`Conn::send`] writes each frame from here.
+    out: Vec<u8>,
     /// Total raw bytes written to the socket (framing included).
     pub bytes_written: u64,
     /// Total frames written to the socket.
@@ -53,6 +55,7 @@ impl Conn {
         Ok(Conn {
             stream,
             reader: FrameReader::with_limits(false, max_frame_len),
+            out: Vec::new(),
             bytes_written: 0,
             frames_written: 0,
             payload_bytes_written: 0,
@@ -84,7 +87,9 @@ impl Conn {
     /// `TimedOut` if the peer stops draining for longer than
     /// `config.io_timeout`.
     pub fn send(&mut self, frame: &Frame, config: &NetConfig) -> Result<(), NetError> {
-        let bytes = frame.to_bytes();
+        self.out.clear();
+        frame.encode_into(None, &mut self.out);
+        let bytes = &self.out;
         let started = Instant::now();
         let mut written = 0usize;
         while written < bytes.len() {

@@ -506,6 +506,12 @@ pub enum Frame {
     StatsReply(Box<StatsReplyFrame>),
 }
 
+/// Starting capacity of the buffer [`Frame::to_bytes`] and
+/// [`Frame::to_bytes_mux`] return: enough for every per-turn frame (a v2
+/// grant carrying a 41-byte RNG state and a short message is under 100
+/// bytes) to be encoded without growing it.
+const FRESH_FRAME_CAPACITY: usize = 128;
+
 const TAG_HELLO: u8 = 0;
 const TAG_INPUT: u8 = 1;
 const TAG_BROADCAST: u8 = 2;
@@ -562,27 +568,35 @@ impl Frame {
         }
     }
 
+    /// Appends one write-ready frame to `out`: the `u32` length prefix,
+    /// then `session` for a v2 (multiplexed) envelope or nothing for v1,
+    /// then the tag and payload. The payload is encoded straight into
+    /// `out` and the length prefix patched in afterwards, so a caller
+    /// that reuses `out` encodes without allocating.
+    pub fn encode_into(&self, session: Option<u64>, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        if let Some(session) = session {
+            out.extend_from_slice(&session.to_le_bytes());
+        }
+        self.encode_body(out);
+        let len = u32::try_from(out.len() - start - 4).expect("frame fits u32");
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
     /// Serializes tag + payload + length prefix into a write-ready v1
     /// buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        self.encode_body(&mut body);
-        let len = u32::try_from(body.len()).expect("frame fits u32");
-        let mut out = Vec::with_capacity(4 + body.len());
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&body);
+        let mut out = Vec::with_capacity(FRESH_FRAME_CAPACITY);
+        self.encode_into(None, &mut out);
         out
     }
 
     /// Serializes into a write-ready v2 (multiplexed) buffer: the length
     /// prefix is followed by `session` and then the v1 body.
     pub fn to_bytes_mux(&self, session: u64) -> Vec<u8> {
-        let mut body = session.to_le_bytes().to_vec();
-        self.encode_body(&mut body);
-        let len = u32::try_from(body.len()).expect("frame fits u32");
-        let mut out = Vec::with_capacity(4 + body.len());
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&body);
+        let mut out = Vec::with_capacity(FRESH_FRAME_CAPACITY);
+        self.encode_into(Some(session), &mut out);
         out
     }
 
@@ -629,9 +643,16 @@ impl Frame {
 /// for v1 (no session id), [`FrameReader::new_mux`] for v2 (every frame
 /// carries a `u64` session id). [`FrameReader::with_limits`] additionally
 /// caps the accepted frame length.
+///
+/// Decoding reads each frame straight out of the receive buffer.
+/// Consumed frames only advance a head offset; the buffer moves its
+/// unconsumed tail to the front once per read from the stream, not once
+/// per frame.
 #[derive(Debug)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// Start of the unconsumed bytes in `buf`.
+    head: usize,
     /// Whether frames carry a v2 session-id header.
     sessioned: bool,
     /// Frames whose length field exceeds this are rejected before any
@@ -669,6 +690,7 @@ impl FrameReader {
     pub fn with_limits(sessioned: bool, max_len: usize) -> Self {
         FrameReader {
             buf: Vec::new(),
+            head: 0,
             sessioned,
             max_len,
             bytes_read: 0,
@@ -688,20 +710,21 @@ impl FrameReader {
     }
 
     fn take_buffered(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
-        if self.buf.len() < 4 {
+        let buffered = &self.buf[self.head..];
+        if buffered.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
+        let len = u32::from_le_bytes(buffered[..4].try_into().expect("4 bytes")) as usize;
         if len == 0 {
             return Err(NetError::BadFrame("zero-length frame"));
         }
         if len > self.max_len {
             return Err(NetError::BadFrame("oversized frame"));
         }
-        if self.buf.len() < 4 + len {
+        if buffered.len() < 4 + len {
             return Ok(None);
         }
-        let body = &self.buf[4..4 + len];
+        let body = &buffered[4..4 + len];
         let (session, body) = if self.sessioned {
             if len < 9 {
                 return Err(NetError::BadFrame("truncated session header"));
@@ -714,12 +737,18 @@ impl FrameReader {
         let frame = Frame::from_body(body)?;
         // The body still holds the tag byte; payload is everything after.
         self.payload_bytes_read += (body.len() - 1) as u64;
-        self.buf.drain(..4 + len);
+        self.head += 4 + len;
         self.frames_read += 1;
         Ok(Some((session, frame)))
     }
 
     fn fill_from(&mut self, stream: &mut impl Read) -> Result<Option<()>, NetError> {
+        // Compact before refilling: drop the frames consumed since the
+        // last read, keeping only the partial frame that follows them.
+        if self.head > 0 {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
         let mut tmp = [0u8; 4096];
         loop {
             match stream.read(&mut tmp) {
@@ -829,6 +858,152 @@ mod tests {
                     .into(),
             })),
         ]
+    }
+
+    fn pinned_frames() -> Vec<Frame> {
+        vec![
+            Frame::Hello(Hello {
+                version: PROTOCOL_VERSION_MUX,
+                protocol_id: "disj".into(),
+                player: 1,
+                players: 3,
+                seed: 0x0123_4567_89AB_CDEF,
+                params: vec![256, 7],
+            }),
+            Frame::Input(InputFrame {
+                session: 5,
+                player: 2,
+                payload: vec![],
+            }),
+            // An initial grant: no prior speaker, no bits, a 41-byte rng.
+            Frame::Broadcast(BroadcastFrame {
+                turn: 0,
+                speaker: NO_PLAYER,
+                bits: BitVec::new(),
+                next: 2,
+                rng: (0..41u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect(),
+            }),
+            // A final publish: 11 bits (partial last byte), no rng.
+            Frame::Broadcast(BroadcastFrame {
+                turn: 4,
+                speaker: 1,
+                bits: BitVec::from_bools(&[
+                    true, false, true, true, false, false, true, false, true, true, false,
+                ]),
+                next: NO_PLAYER,
+                rng: vec![],
+            }),
+            Frame::Heartbeat { seq: 0xDEAD_BEEF },
+            Frame::Outcome(OutcomeFrame {
+                kind: 0,
+                reason: String::new(),
+                output: vec![1],
+                remaining: 0,
+            }),
+            Frame::Error {
+                code: 1,
+                message: "bad hello".into(),
+            },
+            Frame::Stats {
+                what: stats_request::SNAPSHOT,
+            },
+            Frame::StatsReply(Box::new(StatsReplyFrame {
+                payload: StatsPayload {
+                    uptime_us: 77,
+                    counters: vec![NamedValue {
+                        name: "c".into(),
+                        value: 9,
+                    }],
+                    gauges: vec![],
+                    hists: vec![HistPayload {
+                        name: "h".into(),
+                        bounds: vec![10],
+                        counts: vec![1, 0],
+                        count: 1,
+                        sum: 4,
+                        min: 4,
+                        max: 4,
+                    }],
+                },
+                events_jsonl: String::new(),
+            })),
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact v1 and v2 bytes of one frame per variant, captured from
+    /// the per-element encoder that preceded `encode_into` and the bulk
+    /// byte and bit packers. Frame `i` rides v2 session `0x1000 + i`.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let expected: [(&str, &str); 9] = [
+            (
+                "2f000000000200040000006469736a0100000003000000efcdab896745230102\
+                00000000010000000000000700000000000000",
+                "370000000010000000000000000200040000006469736a0100000003000000ef\
+                cdab89674523010200000000010000000000000700000000000000",
+            ),
+            (
+                "0d00000001050000000200000000000000",
+                "15000000011000000000000001050000000200000000000000",
+            ),
+            (
+                "3e0000000200000000ffffffff0000000002000000290000005a7f1035cee384\
+                59721728cde6bb5c710a2fc0e5be53740922c798bd566b0c21fa9fb0556e0324\
+                f992",
+                "4600000002100000000000000200000000ffffffff0000000002000000290000\
+                005a7f1035cee38459721728cde6bb5c710a2fc0e5be53740922c798bd566b0c\
+                21fa9fb0556e0324f992",
+            ),
+            (
+                "170000000204000000010000000b0000004d03ffffffff00000000",
+                "1f00000003100000000000000204000000010000000b0000004d03ffffffff00\
+                000000",
+            ),
+            (
+                "0900000003efbeadde00000000",
+                "11000000041000000000000003efbeadde00000000",
+            ),
+            (
+                "0f000000040000000000010000000100000000",
+                "170000000510000000000000040000000000010000000100000000",
+            ),
+            (
+                "0f0000000501090000006261642068656c6c6f",
+                "1700000006100000000000000501090000006261642068656c6c6f",
+            ),
+            ("020000000601", "0a00000007100000000000000601"),
+            (
+                "6b000000074d0000000000000001000000010000006309000000000000000000\
+                0000010000000100000068010000000a00000000000000020000000100000000\
+                0000000000000000000000010000000000000004000000000000000400000000\
+                000000040000000000000000000000",
+                "730000000810000000000000074d000000000000000100000001000000630900\
+                00000000000000000000010000000100000068010000000a0000000000000002\
+                0000000100000000000000000000000000000001000000000000000400000000\
+                0000000400000000000000040000000000000000000000",
+            ),
+        ];
+        let frames = pinned_frames();
+        assert_eq!(frames.len(), expected.len());
+        for (i, (frame, (v1, v2))) in frames.iter().zip(expected).enumerate() {
+            let session = 0x1000 + i as u64;
+            assert_eq!(hex(&frame.to_bytes()), v1, "v1 bytes of {}", frame.name());
+            assert_eq!(
+                hex(&frame.to_bytes_mux(session)),
+                v2,
+                "v2 bytes of {}",
+                frame.name()
+            );
+            // Appending to a non-empty buffer writes the same bytes.
+            let mut out = vec![0xAA];
+            frame.encode_into(Some(session), &mut out);
+            assert_eq!(hex(&out[1..]), v2);
+            assert_eq!(Frame::from_body(&frame.to_bytes()[4..]).unwrap(), *frame);
+        }
     }
 
     #[test]

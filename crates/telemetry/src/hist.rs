@@ -552,7 +552,7 @@ mod tests {
         assert!(bounds.windows(2).all(|w| w[0] < w[1]));
         // No bucket below 1s may grow more than 50% over its floor (2x at
         // the sub-100µs bottom, where absolute widths are tiny anyway) —
-        // the old ladder's 10ms → 20ms → 50ms jumps made BENCH_net.json
+        // the old ladder's 10ms → 20ms → 50ms jumps made `bci load`
         // report p95 = p99 = 37653µs out of a single saturated bucket.
         for w in bounds.windows(2) {
             if w[1] > 1_000_000 {
