@@ -20,8 +20,9 @@
 //! UPDATE_GOLDEN=1 cargo test -p bci-bench --test golden_tables
 //! ```
 
-use bci_bench::suite::report_by_id;
-use bci_core::experiments::registry::find;
+use bci_bench::suite::report_for;
+use bci_core::experiments::registry::{find, registry};
+use bci_core::report::Report;
 use std::path::PathBuf;
 
 /// Experiments whose point computation is exact (no RNG): snapshotted.
@@ -34,6 +35,10 @@ const RANDOMIZED: &[&str] = &[
     "e1", "e4", "e6", "e7", "e10", "e12", "e14", "e15", "e18", "e19",
 ];
 
+fn report(id: &str, workers: usize) -> Report {
+    report_for(find(id).expect("registered"), workers)
+}
+
 fn golden_path(id: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -44,7 +49,7 @@ fn golden_path(id: &str) -> PathBuf {
 fn deterministic_reports_match_golden_snapshots() {
     let bless = std::env::var_os("UPDATE_GOLDEN").is_some();
     for id in DETERMINISTIC {
-        let rendered = report_by_id(id, 1).expect("registered").render_text();
+        let rendered = report(id, 1).render_text();
         let path = golden_path(id);
         if bless {
             std::fs::create_dir_all(path.parent().expect("snapshot dir")).expect("mkdir");
@@ -72,8 +77,8 @@ fn deterministic_snapshots_are_worker_count_independent() {
     // The snapshot test runs serial; the same bytes must come out of a
     // parallel pool (including any TrialSplit chunking).
     for id in ["e13", "e16"] {
-        let serial = report_by_id(id, 1).expect("registered").render_text();
-        let parallel = report_by_id(id, 3).expect("registered").render_text();
+        let serial = report(id, 1).render_text();
+        let parallel = report(id, 3).render_text();
         assert_eq!(serial, parallel, "{id}");
     }
 }
@@ -82,7 +87,7 @@ fn deterministic_snapshots_are_worker_count_independent() {
 fn randomized_reports_keep_their_shape() {
     for id in RANDOMIZED {
         let exp = find(id).expect("registered");
-        let report = report_by_id(id, 1).expect("registered");
+        let report = report_for(exp, 1);
         assert!(!report.tables.is_empty(), "{id}: no tables");
         // A fixed number of rows per grid point (usually 1; e18 emits one
         // row per promise case, e7 splits its points across two tables),
@@ -108,7 +113,7 @@ fn every_registry_id_is_classified() {
     // the golden suite can't silently skip it.
     let mut ids: Vec<&str> = DETERMINISTIC.iter().chain(RANDOMIZED).copied().collect();
     ids.sort_unstable();
-    let mut registered: Vec<&str> = bci_bench::suite::suite_ids();
+    let mut registered: Vec<&str> = registry().iter().map(|e| e.id()).collect();
     registered.sort_unstable();
     assert_eq!(ids, registered);
 }

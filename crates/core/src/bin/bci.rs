@@ -17,7 +17,8 @@
 //! bci stat   127.0.0.1:7701 [--json|--prom|--events]
 //! bci top    127.0.0.1:7701 [--interval-ms 1000] [--iters 10]
 //! bci experiments list
-//! bci experiments run e7 [--workers 4] [--seed 5]
+//! bci experiments run e7 [--workers 4] [--seed 5] [--json e7.json]
+//! bci experiments run all [--workers 4] [--json suite.json]
 //! ```
 
 use std::collections::HashMap;
@@ -168,6 +169,8 @@ USAGE:
   bci top      <HOST:PORT> [--interval-ms MS] [--iters K]
   bci experiments list
   bci experiments run <id> [--workers W] [--seed S] [--topology blackboard|star|p2p]
+               [--json PATH]
+  bci experiments run all [--workers W] [--json PATH]
 
 GLOBAL FLAGS:
   --quiet      suppress informational diagnostics on stderr
@@ -177,8 +180,9 @@ REPORTS:
   bci fabric --trace PATH writes the run's telemetry event stream as JSON lines;
   bci trace dumps the event stream of one run to stdout (or --out PATH).
   bci netrun --json PATH writes a bci.bench.v1 wire-overhead report.
-  bci experiments run <id> prints the same report as the bench binary
-  table_all --experiment <id>, whose --json PATH writes it as bci.bench.v1.
+  bci experiments run <id> --json PATH writes the experiment's report as
+  bci.bench.v1; bci experiments run all prints every report under === EN ===
+  headers, and its --json PATH writes them as one bci.bench.suite.v1 document.
 
 NETWORK:
   bci serve binds a coordinator: it owns the blackboard, samples the inputs from
@@ -314,6 +318,9 @@ fn cmd_disj(opts: &Opts) -> Result<(), String> {
     let k: usize = get(opts, "k", None)?;
     let density: f64 = get(opts, "density", Some(0.5))?;
     let workload_name = opts.get("workload").map_or("planted", String::as_str);
+    if k == 0 || !(0.0..=1.0).contains(&density) {
+        return Err("need --k ≥ 1 and --density in [0,1]".into());
+    }
     let mut rng = rng_from(opts)?;
     let inputs = match workload_name {
         "planted" => workload::planted_zero_cover(n, k, 0.0, &mut rng),
@@ -360,6 +367,9 @@ fn cmd_union(opts: &Opts) -> Result<(), String> {
     let n: usize = get(opts, "n", None)?;
     let k: usize = get(opts, "k", None)?;
     let density: f64 = get(opts, "density", Some(0.5))?;
+    if k == 0 || !(0.0..=1.0).contains(&density) {
+        return Err("need --k ≥ 1 and --density in [0,1]".into());
+    }
     let mut rng = rng_from(opts)?;
     let inputs = workload::random_sets(n, k, density, &mut rng);
     let u = union::union_function(&inputs);
@@ -398,6 +408,9 @@ fn cmd_cic(opts: &Opts) -> Result<(), String> {
 
 fn cmd_gap(opts: &Opts) -> Result<(), String> {
     let k: usize = get(opts, "k", None)?;
+    if k < 2 {
+        return Err("--k must be at least 2".into());
+    }
     let rep = and_gap(k, 0.05, 0.1);
     println!("AND_{k}: information vs communication (eps=0.05, eps'=0.1)");
     println!("  external information : {:.3} bits", rep.ic_bits);
@@ -415,8 +428,8 @@ fn cmd_sample(opts: &Opts) -> Result<(), String> {
     let sharp: f64 = get(opts, "sharpness", None)?;
     let trials: u64 = get(opts, "trials", Some(200u64))?;
     let seed: u64 = get(opts, "seed", Some(1u64))?;
-    if u < 2 || !(0.0..1.0).contains(&sharp) {
-        return Err("need --universe ≥ 2 and --sharpness in [0,1)".into());
+    if u < 2 || !(0.0..1.0).contains(&sharp) || trials == 0 {
+        return Err("need --universe ≥ 2, --sharpness in [0,1) and --trials ≥ 1".into());
     }
     let rest = (1.0 - sharp) / (u as f64 - 1.0);
     let mut probs = vec![rest; u];
@@ -444,8 +457,8 @@ fn cmd_sparse(opts: &Opts) -> Result<(), String> {
     let n: usize = get(opts, "n", None)?;
     let s: usize = get(opts, "s", None)?;
     let trials: u64 = get(opts, "trials", Some(20u64))?;
-    if 2 * s > n {
-        return Err("need 2s ≤ n".into());
+    if s == 0 || 2 * s > n || trials == 0 {
+        return Err("need --s ≥ 1, 2s ≤ n and --trials ≥ 1".into());
     }
     let mut rng = rng_from(opts)?;
     let mut bits = 0.0;
@@ -481,8 +494,8 @@ fn cmd_amortize(opts: &Opts) -> Result<(), String> {
     let k: usize = get(opts, "k", None)?;
     let copies: usize = get(opts, "copies", None)?;
     let trials: usize = get(opts, "trials", Some(10usize))?;
-    if k < 1 || copies < 1 {
-        return Err("need --k ≥ 1 and --copies ≥ 1".into());
+    if k < 1 || copies < 1 || trials < 1 {
+        return Err("need --k ≥ 1, --copies ≥ 1 and --trials ≥ 1".into());
     }
     let mut rng = rng_from(opts)?;
     let tree = sequential_and(k);
@@ -1393,17 +1406,28 @@ fn cmd_netrun(opts: &Opts, diag: &Diag) -> Result<(), String> {
     Ok(())
 }
 
-/// `bci experiments list | run <id>` — front end to the experiment
-/// registry. `run` builds the report through [`run_report`] (`--workers`,
-/// default 1) and prints the same text `table_all --experiment <id>`
-/// emits; `--seed` overrides the experiment's canonical master seed;
-/// `--topology` restricts a cross-model experiment (see the `model`
-/// column of `experiments list`) to one communication model's columns.
+/// `bci experiments list | run <id>|all` — front end to the experiment
+/// registry. `run` builds each report through [`run_report`]
+/// (`--workers`, default 1) and prints its text; `--json PATH` also writes
+/// it as a `bci.bench.v1` document (`bci.bench.suite.v1` for `all`).
+/// `--seed` overrides the experiment's canonical master seed and
+/// `--topology` restricts a cross-model experiment (see the `model` column
+/// of `experiments list`) to one communication model's columns; `all`
+/// runs every experiment under its canonical seed and all of its models,
+/// so it takes neither.
 ///
 /// [`run_report`]: bci_core::experiments::registry::run_report
 fn cmd_experiments(args: &[String]) -> Result<(), String> {
     use bci_core::experiments::registry::{find, registry, run_report, Experiment};
+    use bci_core::report::{emit_all_to, emit_to};
     use bci_telemetry::Json;
+
+    fn workers_of(opts: &Opts) -> Result<usize, String> {
+        match get(opts, "workers", Some(1usize))? {
+            0 => Err("--workers must be positive".into()),
+            workers => Ok(workers),
+        }
+    }
 
     /// The experiment's communication model(s), from its `model` meta
     /// key; everything without one is a plain blackboard experiment.
@@ -1445,9 +1469,19 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
                 .get(1)
                 .filter(|a| !a.starts_with("--"))
                 .ok_or("experiments run needs an id (try 'bci experiments list')")?;
+            if id == "all" {
+                let opts = parse_opts(&args[2..], "workers json")?;
+                let workers = workers_of(&opts)?;
+                let reports: Vec<_> = registry()
+                    .iter()
+                    .map(|exp| run_report(*exp, workers, exp.seed()))
+                    .collect();
+                emit_all_to(&reports, opts.get("json").map(String::as_str));
+                return Ok(());
+            }
             let exp = find(id).ok_or_else(|| {
                 format!(
-                    "unknown experiment '{id}' (known: {})",
+                    "unknown experiment '{id}' (known: {}, or all)",
                     registry()
                         .iter()
                         .map(|e| e.id())
@@ -1455,7 +1489,7 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
                         .join(", ")
                 )
             })?;
-            let opts = parse_opts(&args[2..], "workers seed topology")?;
+            let opts = parse_opts(&args[2..], "workers seed topology json")?;
             let restricted: Box<dyn Experiment>;
             let exp: &dyn Experiment = match opts.get("topology") {
                 None => exp,
@@ -1474,12 +1508,12 @@ fn cmd_experiments(args: &[String]) -> Result<(), String> {
                     &*restricted
                 }
             };
-            let workers: usize = get(&opts, "workers", Some(1usize))?;
-            if workers == 0 {
-                return Err("--workers must be positive".into());
-            }
+            let workers = workers_of(&opts)?;
             let seed: u64 = get(&opts, "seed", Some(exp.seed()))?;
-            print!("{}", run_report(exp, workers, seed).render_text());
+            emit_to(
+                &run_report(exp, workers, seed),
+                opts.get("json").map(String::as_str),
+            );
             Ok(())
         }
         other => Err(format!(

@@ -18,9 +18,8 @@
 //! experiments simply ignore the seed.
 //!
 //! Consumers: [`run_report`] is the one runner — it sweeps a grid on a
-//! `JobPool` and assembles the [`Report`] that both `bci experiments run`
-//! and `table_all` print — and the `bci experiments` CLI lists registry
-//! entries directly.
+//! `JobPool` and assembles the [`Report`] that `bci experiments run`
+//! prints — and the `bci experiments` CLI lists registry entries directly.
 
 use std::any::Any;
 use std::ops::Range;
@@ -260,8 +259,8 @@ pub fn run_grid_pooled(exp: &dyn Experiment, pool: &JobPool, master_seed: u64) -
 
 /// Builds the report for `exp`: runs its default grid under master `seed`
 /// on a `workers`-wide [`JobPool`] and assembles the title, notes, meta and
-/// tables. The one experiment runner — `bci experiments run` and
-/// `table_all` both call it.
+/// tables. The one experiment runner: `bci experiments run` and the
+/// goldens call it.
 ///
 /// Point `i` computes under `point_seed(seed, i)`, and [`TrialSplit`]
 /// experiments split each point into fixed-size trial chunks, so the

@@ -7,13 +7,13 @@
 //! * re-exports of the sub-crates under stable names;
 //! * [`table`] — plain-text table rendering used by every report;
 //! * [`report`] — the one [`report::Report`] type every experiment, the
-//!   `bci netrun` sweep and the bench tables render through, as text and
-//!   as schema-stable JSON;
+//!   `bci netrun` sweep and the `bci load` harness render through, as text
+//!   and as schema-stable JSON;
 //! * [`experiments`] — one driver per result in the paper, each producing
 //!   structured rows *and* a rendered table. The one runner,
-//!   [`experiments::registry::run_report`], backs both `bci experiments
-//!   run <id>` and `table_all --experiment <id>`, so the numbers in
-//!   `EXPERIMENTS.md` are regenerable with one command per table.
+//!   [`experiments::registry::run_report`], backs `bci experiments run
+//!   <id>` (and `all`), so the numbers in `EXPERIMENTS.md` are
+//!   regenerable with one command per table.
 //!
 //! # Quickstart
 //!

@@ -1,13 +1,13 @@
 //! Schema-stable, machine-readable reports.
 //!
 //! Every registry experiment, the `bci netrun` wire-overhead sweep and the
-//! `table_fabric` scaling table build a [`Report`] — title, note lines,
-//! parameter metadata, and one or more labeled tables. [`emit_to`] prints
-//! the familiar text rendering to stdout and, given a path, also writes the
-//! same content as a JSON document with schema id [`SCHEMA`]; [`emit`]
-//! reads that path from a `--json <path>` command line. `table_all`
-//! aggregates every report into one combined document with schema id
-//! [`SUITE_SCHEMA`] through [`emit_all_to`].
+//! `bci load` harness build a [`Report`] — title, note lines, parameter
+//! metadata, and one or more labeled tables. [`emit_to`] prints the
+//! familiar text rendering to stdout and, given a path, also writes the
+//! same content as a JSON document with schema id [`SCHEMA`].
+//! `bci experiments run all` aggregates every registry report into one
+//! combined document with schema id [`SUITE_SCHEMA`] through
+//! [`emit_all_to`].
 //!
 //! Reports deliberately contain no timing or host-specific fields, so the
 //! same sweep always serializes to the same bytes — CI diffs the
@@ -39,7 +39,8 @@ use crate::table::Table;
 /// Schema identifier of a single-experiment report document.
 pub const SCHEMA: &str = "bci.bench.v1";
 
-/// Schema identifier of the combined (`table_all`) report document.
+/// Schema identifier of the combined (`bci experiments run all`) report
+/// document.
 pub const SUITE_SCHEMA: &str = "bci.bench.suite.v1";
 
 /// One experiment's full output: identity, context lines, parameters, and
@@ -196,39 +197,9 @@ pub fn suite_json(reports: &[Report]) -> Json {
     ])
 }
 
-/// Parses `--json <path>` from the process arguments. Any other argument is
-/// rejected so a typo fails loudly instead of silently printing text only.
-pub fn json_arg() -> Result<Option<String>, String> {
-    parse_json_arg(std::env::args().skip(1))
-}
-
-fn parse_json_arg(args: impl IntoIterator<Item = String>) -> Result<Option<String>, String> {
-    let mut path = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => {
-                path = Some(it.next().ok_or("--json needs a path")?);
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument '{other}' (expected --json <path>)"
-                ))
-            }
-        }
-    }
-    Ok(path)
-}
-
-/// Prints `report` as text and, with `--json <path>`, writes the JSON
-/// document to `path`. Exits the process with an error message on a bad
-/// command line or an unwritable path.
-pub fn emit(report: &Report) {
-    emit_to(report, json_arg_or_exit().as_deref());
-}
-
-/// Like [`emit`], but with an already-parsed JSON path instead of reading
-/// the process arguments (for callers with their own command line).
+/// Prints `report` as text and, given a path, writes its JSON document
+/// (schema [`SCHEMA`]) to it. Exits the process with an error message on
+/// an unwritable path.
 pub fn emit_to(report: &Report, json_path: Option<&str>) {
     write_doc(&report.render_text(), &report.to_json(), json_path);
 }
@@ -244,16 +215,6 @@ pub fn emit_all_to(reports: &[Report], json_path: Option<&str>) {
         text.push('\n');
     }
     write_doc(&text, &suite_json(reports), json_path);
-}
-
-fn json_arg_or_exit() -> Option<String> {
-    match json_arg() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn write_doc(text: &str, json: &Json, path: Option<&str>) {
@@ -315,14 +276,5 @@ mod tests {
         let json = suite_json(&[sample(), sample()]).to_string();
         assert!(json.starts_with("{\"schema\":\"bci.bench.suite.v1\",\"count\":2,"));
         assert_eq!(json.matches("\"bci.bench.v1\"").count(), 2);
-    }
-
-    #[test]
-    fn json_arg_parsing() {
-        let ok = parse_json_arg(["--json".to_owned(), "out.json".to_owned()]).unwrap();
-        assert_eq!(ok.as_deref(), Some("out.json"));
-        assert_eq!(parse_json_arg([]).unwrap(), None);
-        assert!(parse_json_arg(["--json".to_owned()]).is_err());
-        assert!(parse_json_arg(["--bogus".to_owned()]).is_err());
     }
 }

@@ -83,6 +83,7 @@ fn zero_workers_is_rejected_with_a_clear_error() {
     for args in [
         vec!["fabric", "--sessions", "4", "--workers", "0"],
         vec!["experiments", "run", "e2", "--workers", "0"],
+        vec!["experiments", "run", "all", "--workers", "0"],
         vec!["trace", "--workers", "0"],
     ] {
         let out = bci(&args);
@@ -91,6 +92,131 @@ fn zero_workers_is_rejected_with_a_clear_error() {
         assert!(
             stderr.contains("--workers") && stderr.contains("positive"),
             "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn degenerate_one_point_inputs_are_rejected_with_a_clear_error() {
+    // Zero players or zero trials used to panic inside the library or
+    // print `mean bits = NaN`; each command's validation refuses them.
+    for args in [
+        vec!["disj", "--n", "16", "--k", "0"],
+        vec!["union", "--n", "16", "--k", "0"],
+        vec!["gap", "--k", "0"],
+        vec!["amortize", "--k", "4", "--copies", "4", "--trials", "0"],
+        vec![
+            "sample",
+            "--universe",
+            "4",
+            "--sharpness",
+            "0.5",
+            "--trials",
+            "0",
+        ],
+        vec!["sparse", "--n", "64", "--s", "4", "--trials", "0"],
+    ] {
+        let out = bci(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?} did work");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    }
+}
+
+/// A fresh temp directory for one test's output files.
+fn temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("bci-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+#[test]
+fn experiments_run_writes_bench_json() {
+    let dir = temp_dir("experiments-json");
+    let one = dir.join("e2.json");
+    let out = bci(&[
+        "experiments",
+        "run",
+        "e2",
+        "--json",
+        one.to_str().expect("utf8 path"),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let doc = std::fs::read_to_string(&one).expect("json written");
+    assert!(
+        doc.starts_with("{\"schema\":\"bci.bench.v1\",\"experiment\":\"e2\","),
+        "{doc}"
+    );
+
+    let suite = dir.join("suite.json");
+    let out = bci(&[
+        "experiments",
+        "run",
+        "all",
+        "--workers",
+        "2",
+        "--json",
+        suite.to_str().expect("utf8 path"),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.starts_with("=== E1 ===\n\n"), "{stdout}");
+    let doc = std::fs::read_to_string(&suite).expect("json written");
+    assert!(
+        doc.starts_with("{\"schema\":\"bci.bench.suite.v1\",\"count\":20,"),
+        "{doc}"
+    );
+    // Registry order: e1, e2, …, e20, each once.
+    let ids: Vec<&str> = doc
+        .split("\"experiment\":\"")
+        .skip(1)
+        .map(|rest| &rest[..rest.find('"').expect("closing quote")])
+        .collect();
+    let expected: Vec<String> = (1..=20).map(|i| format!("e{i}")).collect();
+    assert_eq!(ids, expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn experiments_run_all_takes_only_workers_and_json() {
+    // `all` runs every experiment under its canonical seed and all of its
+    // models, so a per-experiment option fails before any work.
+    let dir = temp_dir("experiments-all-opts");
+    let json = dir.join("suite.json");
+    let json_path = json.to_str().expect("utf8 path");
+    for (option, value) in [("--topology", "star"), ("--seed", "3")] {
+        let out = bci(&[
+            "experiments",
+            "run",
+            "all",
+            option,
+            value,
+            "--json",
+            json_path,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{option}: {out:?}");
+        assert!(out.stdout.is_empty(), "{option} did work");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(
+            stderr.contains(&format!("unknown option '{option}'")),
+            "{option}: {stderr}"
+        );
+        assert!(!json.exists(), "rejected run wrote {json_path}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_experiment_ids_are_rejected() {
+    // `fabric` named a bench table, never a registry experiment.
+    for id in ["e21", "fabric"] {
+        let out = bci(&["experiments", "run", id]);
+        assert_eq!(out.status.code(), Some(1), "{id}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(
+            stderr.contains(&format!("unknown experiment '{id}'")),
+            "{id}: {stderr}"
         );
     }
 }
@@ -293,8 +419,16 @@ fn bad_invocations_fail_with_usage() {
     let json_path = json.to_str().expect("utf8 path");
     for (args, key) in [
         (
-            vec!["experiments", "run", "e2", "--json", json_path],
-            "--json",
+            vec![
+                "experiments",
+                "run",
+                "e2",
+                "--json",
+                json_path,
+                "--bogus",
+                "1",
+            ],
+            "--bogus",
         ),
         (vec!["fabric", "--sessions", "4", "--bogus", "3"], "--bogus"),
         (vec!["disj", "--n", "64", "--k", "4", "--nn", "5"], "--nn"),

@@ -685,7 +685,7 @@ fn bench_meta(spec: &LoadSpec, reports: &[LoadReport]) -> Json {
 }
 
 /// Renders load reports as one `bci.bench.v1` document — the schema
-/// every `bci-core` report (`table_all`, `bci netrun --json`) already
+/// every `bci-core` report (`bci experiments run`, `bci netrun --json`) already
 /// emits, so the CI validators apply unchanged.
 pub fn bench_document(spec: &LoadSpec, reports: &[LoadReport]) -> Json {
     let columns = [

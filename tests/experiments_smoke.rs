@@ -1,7 +1,6 @@
 //! Smoke tests for every experiment driver: run each with reduced
 //! parameters and sanity-check the headline claim, so the code paths
-//! behind `table_all` and `bci experiments run` are exercised by
-//! `cargo test`.
+//! behind `bci experiments run` are exercised by `cargo test`.
 
 use broadcast_ic::core::experiments::*;
 

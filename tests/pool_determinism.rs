@@ -4,8 +4,8 @@
 //! seed — and even with an artificially slowed job scrambling the
 //! completion order — `pool.run(points, seed, job)` must return exactly
 //! `points.iter().enumerate().map(|(i, p)| job(derive_trial_seed(seed, i), p))`
-//! in point order. This is the contract that lets `table_all --workers N`
-//! promise byte-identical output for every `N`.
+//! in point order. This is the contract that lets `bci experiments run
+//! --workers N` promise byte-identical output for every `N`.
 
 use std::time::Duration;
 
